@@ -1487,13 +1487,6 @@ let endpoint_arg ~default ~doc =
     & opt string default
     & info [ "endpoint"; "e" ] ~docv:"ENDPOINT" ~doc)
 
-let net_workers_arg =
-  Arg.(
-    value
-    & opt int Net.Server.default_config.Net.Server.workers
-    & info [ "workers" ] ~docv:"N"
-        ~doc:"Worker domains serving connections (0 = on the acceptor).")
-
 let net_nodes_arg =
   Arg.(
     value
@@ -1506,7 +1499,8 @@ let read_timeout_arg =
     value
     & opt float Net.Server.default_config.Net.Server.read_timeout
     & info [ "read-timeout" ] ~docv:"SECONDS"
-        ~doc:"Per-connection read timeout; idle connections are dropped.")
+        ~doc:"Seconds a connection may take per request; idle or slower \
+              connections are closed.")
 
 let shards_arg ~default ~doc =
   Arg.(value & opt int default & info [ "shards" ] ~docv:"N" ~doc)
@@ -1521,17 +1515,16 @@ let estimator_shards_arg ~default =
 (* serve-decisions and coordinator are one implementation: the
    coordinator *is* a decision server whose estimator the cluster
    nodes publish into. *)
-let run_decision_server endpoint workers nodes shards read_timeout tau alpha
+let run_decision_server endpoint nodes shards read_timeout tau alpha
     u_net u_export listen slo burn_slo node_id telemetry =
   protected @@ fun () ->
   if nodes < 1 then or_die (Error "--nodes must be at least 1");
-  if workers < 0 then or_die (Error "--workers must be non-negative");
   if shards < 1 then or_die (Error "--shards must be at least 1");
   if node_id = "" then or_die (Error "--node-id must be non-empty");
   let params = make_params ~tau ~alpha ~u_net ~u_export in
   let config =
     { Net.Server.default_config with
-      workers; nodes; read_timeout; estimator_shards = shards; node_id }
+      nodes; read_timeout; estimator_shards = shards; node_id }
   in
   (* The service shares one real-clock obs context with its telemetry
      surface: server spans (stamped with client trace contexts) land
@@ -1540,16 +1533,16 @@ let run_decision_server endpoint workers nodes shards read_timeout tau alpha
   let registry = Obs.registry obs in
   let service = Net.Server.create ~config ~registry ~obs ~params () in
   let listener = Net.Server.start service (parse_endpoint endpoint) in
-  Printf.printf "decision service on %s (%d workers, %d estimator slots)\n%!"
+  Printf.printf "decision service on %s (%d estimator slots)\n%!"
     (Net.Transport.endpoint_to_string (Net.Server.endpoint listener))
-    workers nodes;
+    nodes;
   let health =
     Health.create ~window:0.0 ~rules:(parse_rules slo) ()
   in
   let alerts = make_alerts ~obs burn_slo in
   let src = Tele.source ~health ?alerts obs in
   (* The health watchdog and alert engine are observed by the linger
-     tick on this domain and (with --telemetry) read by worker domains
+     tick on this domain and (with --telemetry) read by the socket loop
      answering Query_telemetry; one mutex covers both. *)
   let health_mu = Mutex.create () in
   let with_health f =
@@ -1636,7 +1629,7 @@ let decision_server_term =
         ~doc:
           "Endpoint to serve: tcp://HOST:PORT (port 0 picks a free port), \
            unix://PATH or mem://NAME."
-    $ net_workers_arg $ net_nodes_arg
+    $ net_nodes_arg
     $ estimator_shards_arg
         ~default:Net.Server.default_config.Net.Server.estimator_shards
     $ read_timeout_arg $ tau_arg
@@ -1980,7 +1973,7 @@ let cluster_cmd =
               Net.Server.create
                 ~config:
                   { Net.Server.default_config with
-                    nodes; workers = 0; estimator_shards = shards }
+                    nodes; estimator_shards = shards }
                 ~params ()
             in
             let name = Printf.sprintf "cluster-%d" (Unix.getpid ()) in
@@ -2213,18 +2206,18 @@ let loadgen_cmd =
 (* -- profile ------------------------------------------------------------- *)
 
 let profile_cmd =
-  let run requests batch workers nodes shards seed tau alpha u_net u_export
+  let run requests batch nodes shards seed tau alpha u_net u_export
       out top_n =
     protected @@ fun () ->
     if shards < 1 then or_die (Error "--shards must be at least 1");
     let params = make_params ~tau ~alpha ~u_net ~u_export in
     (* A self-contained profiling run: a decision service on a real
-       TCP socket (so frame codec, socket reads and worker handoff are
-       all on the profile) loaded by the seeded generator with trace
-       propagation on. Both sides run on the real clock; their tracers
-       are folded into one collapsed-stack file under synthetic
-       "client"/"server" roots, with the instrumented-mutex totals
-       appended as "locks;NAME;wait|hold" rows. *)
+       TCP socket (so frame codec and socket I/O are on the profile)
+       loaded by the seeded generator with trace propagation on. Both
+       sides run on the real clock; their tracers are folded into one
+       collapsed-stack file under synthetic "client"/"server" roots,
+       with the instrumented-mutex totals appended as
+       "locks;NAME;wait|hold" rows. *)
     let module Profile = Mitos_obs.Profile in
     let module Contended = Mitos_obs.Contended in
     let server_obs = Obs.create ~clock:(Mitos_obs.Obs_clock.real ()) () in
@@ -2232,7 +2225,7 @@ let profile_cmd =
       Net.Server.create
         ~config:
           { Net.Server.default_config with
-            workers; nodes; estimator_shards = shards }
+            nodes; estimator_shards = shards }
         ~registry:(Obs.registry server_obs) ~obs:server_obs ~params ()
     in
     let listener =
@@ -2376,7 +2369,7 @@ let profile_cmd =
           (client + server spans stitched, instrumented-lock wait/hold \
           appended) for flamegraph.pl.")
     Term.(
-      const run $ requests_arg $ batch_arg $ net_workers_arg $ net_nodes_arg
+      const run $ requests_arg $ batch_arg $ net_nodes_arg
       $ estimator_shards_arg ~default:4
       $ seed_arg $ tau_arg $ alpha_arg $ u_net_arg $ u_export_arg $ out_arg
       $ top_arg)

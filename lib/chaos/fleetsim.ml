@@ -21,7 +21,6 @@ type config = {
   nodes : int;
   estimator_slots : int;
   transport : transport;
-  workers : int;
   gen : Tenantgen.config;
   batch : int;
   candidates : int;
@@ -35,7 +34,6 @@ let default_config =
     nodes = 3;
     estimator_slots = 8;
     transport = Mem;
-    workers = 2;
     gen = Tenantgen.default_config;
     batch = 8;
     candidates = 6;
@@ -172,7 +170,6 @@ type st = {
 let server_config cfg idx =
   {
     Server.default_config with
-    workers = (match cfg.transport with Mem -> 0 | Tcp -> cfg.workers);
     nodes = cfg.estimator_slots;
     node_id = Printf.sprintf "chaos%d" idx;
   }

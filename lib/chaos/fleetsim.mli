@@ -25,7 +25,6 @@ type config = {
   nodes : int;
   estimator_slots : int;  (** per node *)
   transport : transport;
-  workers : int;  (** worker domains per node, [Tcp] only *)
   gen : Tenantgen.config;
   batch : int;  (** decide requests per frame *)
   candidates : int;
@@ -35,7 +34,7 @@ type config = {
 }
 
 val default_config : config
-(** 3 nodes of 8 slots over [Mem], 2 workers, {!Tenantgen.default_config}
+(** 3 nodes of 8 slots over [Mem], {!Tenantgen.default_config}
     traffic, batch 8, up to 6 candidates / space 4, 1 client retry,
     1s ticks. *)
 

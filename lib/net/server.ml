@@ -5,10 +5,8 @@ module Obs = Mitos_obs.Obs
 module Tracer = Mitos_obs.Tracer
 module Propagation = Mitos_obs.Propagation
 module Estimator = Mitos_distrib.Estimator
-module Executor = Mitos_parallel.Executor
 
 type config = {
-  workers : int;
   nodes : int;
   estimator_shards : int;
   read_timeout : float;
@@ -18,7 +16,6 @@ type config = {
 
 let default_config =
   {
-    workers = 4;
     nodes = 16;
     estimator_shards = 1;
     read_timeout = Netio.default_timeout;
@@ -34,20 +31,20 @@ type t = {
   params : Mitos.Params.t;
   reg : Registry.t;
   obs : Obs.t;
-  (* Worker domains handle requests concurrently but the tracer is
-     single-writer; completed server spans are recorded under this. *)
+  (* Socket loops and mem:// callers may handle requests concurrently
+     but the tracer is single-writer; completed server spans are
+     recorded under this. *)
   trace_mu : Mutex.t;
   est : Estimator.t;
   per_op : (string * op_metrics) list;
   decisions_total : Registry.counter;
   errors_total : Registry.counter;
-  connections_total : Registry.counter;
   served : int Atomic.t;
   decided : int Atomic.t;
   publishes : int Atomic.t;
   (* What Query_telemetry reports as the node's own SLO verdict;
      replaced by [set_health_probe] when a health watchdog is wired
-     in. Read on whichever worker domain serves the request, so
+     in. Read on whichever domain serves the request, so
      probes must be safe to call from any domain. *)
   mutable health_probe : unit -> bool * string;
 }
@@ -57,7 +54,6 @@ let op_labels =
 
 let create ?(config = default_config) ?registry ?(obs = Obs.disabled) ~params
     () =
-  if config.workers < 0 then invalid_arg "Server.create: negative workers";
   if config.nodes < 1 then invalid_arg "Server.create: nodes must be >= 1";
   if config.estimator_shards < 1 then
     invalid_arg "Server.create: estimator_shards must be >= 1";
@@ -93,9 +89,6 @@ let create ?(config = default_config) ?registry ?(obs = Obs.disabled) ~params
     errors_total =
       Registry.counter reg ~help:"malformed frames and refused requests"
         "mitos_net_errors_total";
-    connections_total =
-      Registry.counter reg ~help:"connections accepted"
-        "mitos_net_connections_total";
     served = Atomic.make 0;
     decided = Atomic.make 0;
     publishes = Atomic.make 0;
@@ -107,10 +100,6 @@ let estimator t = t.est
 let set_health_probe t probe = t.health_probe <- probe
 let config t = t.config
 let obs t = t.obs
-
-let rec atomic_add cell n =
-  let seen = Atomic.get cell in
-  if not (Atomic.compare_and_set cell seen (seen + n)) then atomic_add cell n
 
 (* -- request semantics -------------------------------------------------- *)
 
@@ -140,7 +129,7 @@ let handle_request t (req : Wire.request) : Wire.response =
   | Decide batch ->
     let outcomes = List.map (decide_one t) batch in
     let n = List.length batch in
-    atomic_add t.decided n;
+    ignore (Atomic.fetch_and_add t.decided n);
     Registry.add t.decisions_total n;
     Decisions outcomes
   | Publish { node; value } ->
@@ -151,7 +140,7 @@ let handle_request t (req : Wire.request) : Wire.response =
     end
     else begin
       Estimator.publish t.est ~node value;
-      atomic_add t.publishes 1;
+      Atomic.incr t.publishes;
       Published (Estimator.global t.est)
     end
   | Read_global -> Global (Estimator.global t.est)
@@ -187,8 +176,8 @@ let handle_request t (req : Wire.request) : Wire.response =
 
 (* Record a completed server span carrying the client's trace context,
    if the server has an enabled obs. Tracer writes are serialized
-   under [trace_mu] because worker domains handle requests
-   concurrently; the span is recorded with explicit timestamps after
+   under [trace_mu] because several domains may handle requests at
+   once; the span is recorded with explicit timestamps after
    the work, so the critical section is just the buffer append. *)
 let record_span t ~trace ~ts0 ~ts1 op =
   if Obs.enabled t.obs then begin
@@ -212,7 +201,7 @@ let handle_body t body =
     Registry.incr t.errors_total;
     Wire.encode_response_body ~id:0 (Err (Wire.error_to_string err))
   | Ok (id, trace, req) ->
-    atomic_add t.served 1;
+    Atomic.incr t.served;
     let resp =
       match handle_request t req with
       | resp -> resp
@@ -233,116 +222,64 @@ let handle_body t body =
 
 (* -- listeners ----------------------------------------------------------- *)
 
-type sock_listener = {
-  sock : Unix.file_descr;
-  stopping : bool Atomic.t;
-  mutable acceptor : unit Domain.t option;
-  exec : Executor.t;
-  unlink_path : string option;
-}
-
-type impl = Mem of string | Sock of sock_listener
-
-type listener = {
-  owner : t;
-  bound : Transport.endpoint;
-  impl : impl;
-  mutable stopped : bool;
-}
+type listener = { bound : Transport.endpoint; stop : unit -> unit }
 
 let endpoint l = l.bound
+let stop l = l.stop ()
 
-(* One connection: read frames, answer them, until the peer closes,
-   times out, sends garbage the stream cannot recover from, or the
-   listener stops. *)
-let serve_conn t stopping fd peer =
-  Netio.set_timeouts ~timeout:t.config.read_timeout fd;
-  let conn = Transport.of_fd ~max_frame:t.config.max_frame ~peer fd in
-  let rec loop () =
-    if not (Atomic.get stopping) then
-      match Transport.recv conn with
-      | Ok body -> (
-        match Transport.send conn (handle_body t body) with
-        | Ok () -> loop ()
-        | Error _ -> ())
-      | Error (Truncated _) -> () (* peer closed *)
-      | Error err ->
-        (* framing is unrecoverable: answer once, then hang up *)
-        Registry.incr t.errors_total;
-        ignore
-          (Transport.send conn
-             (Wire.encode_response_body ~id:0
-                (Err (Wire.error_to_string err))))
+let once f =
+  let todo = Atomic.make true in
+  fun () -> if Atomic.exchange todo false then f ()
+
+let err_frame msg =
+  Wire.frame (Wire.encode_response_body ~id:0 (Err msg))
+
+(* The decision protocol's step: answer every whole frame buffered so
+   far, inline, since a decide takes microseconds. A corrupt body gets
+   a typed Err from [handle_body] and the connection keeps serving; a
+   framing error cannot be resynchronised past, so it gets one Err and
+   a hangup. *)
+let step t input =
+  let buf = Buffer.contents input in
+  let rec frames pos replies =
+    match Wire.unframe ~max_frame:t.config.max_frame buf ~pos with
+    | Ok (body, next) ->
+      frames next (Wire.frame (handle_body t body) :: replies)
+    | Error (Truncated _) ->
+      { Netio.consumed = pos; replies = List.rev replies; keep = true }
+    | Error err ->
+      Registry.incr t.errors_total;
+      {
+        Netio.consumed = String.length buf;
+        replies = List.rev (err_frame (Wire.error_to_string err) :: replies);
+        keep = false;
+      }
   in
-  Fun.protect ~finally:(fun () -> Transport.close conn) loop
+  frames 0 []
 
-let accept_loop t sl =
-  while not (Atomic.get sl.stopping) do
-    match Unix.select [ sl.sock ] [] [] 0.2 with
-    | [], _, _ -> ()
-    | _ :: _, _, _ -> (
-      match Unix.accept sl.sock with
-      | client, addr ->
-        Registry.incr t.connections_total;
-        let peer =
-          match addr with
-          | Unix.ADDR_INET (a, p) ->
-            Printf.sprintf "%s:%d" (Unix.string_of_inet_addr a) p
-          | Unix.ADDR_UNIX p -> if p = "" then "unix-peer" else p
-        in
-        Executor.submit sl.exec (fun () -> serve_conn t sl.stopping client peer)
-      | exception Unix.Unix_error _ -> () (* racing stop; loop re-checks *))
-    | exception Unix.Unix_error (EINTR, _, _) -> ()
-    | exception Unix.Unix_error (EBADF, _, _) -> Atomic.set sl.stopping true
-  done
+let serve t sock =
+  let refusal =
+    err_frame
+      (Printf.sprintf "connection limit reached (%d connections open)"
+         Netio.max_conns)
+  in
+  Netio.serve ~registry:t.reg ~timeout:t.config.read_timeout ~refusal sock
+    (fun () -> step t)
 
 let start t ep =
   match ep with
   | Transport.Memory name ->
     Transport.Loopback.register name (handle_body t);
-    { owner = t; bound = ep; impl = Mem name; stopped = false }
+    { bound = ep; stop = once (fun () -> Transport.Loopback.unregister name) }
   | Tcp { host; port } ->
-    let sock, bound_port = Netio.listen_tcp ~host ~port () in
-    let sl =
-      {
-        sock;
-        stopping = Atomic.make false;
-        acceptor = None;
-        exec = Executor.create ~name:"mitos-net" ~workers:t.config.workers ();
-        unlink_path = None;
-      }
-    in
-    sl.acceptor <- Some (Domain.spawn (fun () -> accept_loop t sl));
-    {
-      owner = t;
-      bound = Tcp { host; port = bound_port };
-      impl = Sock sl;
-      stopped = false;
-    }
+    let sock, port = Netio.listen_tcp ~host ~port () in
+    { bound = Tcp { host; port }; stop = serve t sock }
   | Unix_sock path ->
-    let sock = Netio.listen_unix path in
-    let sl =
-      {
-        sock;
-        stopping = Atomic.make false;
-        acceptor = None;
-        exec = Executor.create ~name:"mitos-net" ~workers:t.config.workers ();
-        unlink_path = Some path;
-      }
-    in
-    sl.acceptor <- Some (Domain.spawn (fun () -> accept_loop t sl));
-    { owner = t; bound = ep; impl = Sock sl; stopped = false }
-
-let stop l =
-  if not l.stopped then begin
-    l.stopped <- true;
-    match l.impl with
-    | Mem name -> Transport.Loopback.unregister name
-    | Sock sl ->
-      Atomic.set sl.stopping true;
-      (match sl.acceptor with Some d -> Domain.join d | None -> ());
-      Netio.close_quietly sl.sock;
-      Executor.shutdown sl.exec;
-      Option.iter (fun p -> try Unix.unlink p with Unix.Unix_error _ -> ())
-        sl.unlink_path
-  end
+    let stop = serve t (Netio.listen_unix path) in
+    {
+      bound = ep;
+      stop =
+        once (fun () ->
+            stop ();
+            try Unix.unlink path with Unix.Unix_error _ -> ());
+    }

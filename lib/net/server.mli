@@ -10,12 +10,17 @@
     {!Wire.Read_global}; a decide request's effective pollution is the
     client-supplied local value {e plus} the estimator's global sum.
 
-    {b Shape.} One acceptor domain (select + accept, with a stop
-    tick), [workers] worker domains draining accepted connections off
-    a {!Mitos_parallel.Executor}. Each connection is served by one
-    worker at a time: a read-decode-decide-respond loop bounded by a
-    per-connection read timeout and the {!Wire.unframe} max-frame
-    guard. [workers = 0] serves connections on the acceptor domain.
+    {b Shape.} Each [Tcp]/[Unix_sock] listener is one domain running
+    one non-blocking {!Mitos_obs.Netio.serve} loop. The loop reads
+    whatever each connection has sent, cuts whole frames out with
+    {!Wire.unframe} (bounded by [max_frame]) and answers each inline
+    with {!handle_body}: a decide takes microseconds, so there is no
+    hand-off to other domains. Replies the socket cannot take at once
+    wait for it to become writable, so no idle, slow or non-reading
+    client holds up another. A connection that completes no frame
+    within [read_timeout] of its accept or its last reply is closed.
+    Past {!Mitos_obs.Netio.max_conns} open connections, a new one gets
+    one [Err "connection limit …"] frame and is closed.
 
     On a [Memory] endpoint none of that machinery exists: {!start}
     registers {!handle_body} as a loopback handler and requests run
@@ -24,19 +29,23 @@
 
     {b Telemetry.} Per-request counters and latency histograms land in
     the supplied {!Mitos_obs.Registry}: [mitos_net_requests_total{op}],
-    [mitos_net_decisions_total], [mitos_net_errors_total],
-    [mitos_net_connections_total] and [mitos_net_request_ns{op}]
-    (whose p50/p95/p99 appear in the Prometheus exposition). *)
+    [mitos_net_decisions_total], [mitos_net_errors_total] (which also
+    counts connections closed by an exception),
+    [mitos_net_connections_total], [mitos_net_connections_refused_total],
+    the gauge [mitos_net_connections_open] and
+    [mitos_net_request_ns{op}] (whose p50/p95/p99 appear in the
+    Prometheus exposition). *)
 
 type config = {
-  workers : int;  (** worker domains; 0 serves on the acceptor *)
   nodes : int;  (** estimator slots for publish/read *)
   estimator_shards : int;
       (** estimator shard count (≥ 1); publishes to different shards
           stop serializing on one lock, and the decide path's global
           read is lock-free at any shard count. 1 keeps the global
           fold bit-identical to the unsharded estimator. *)
-  read_timeout : float;  (** per-connection, seconds *)
+  read_timeout : float;
+      (** seconds a connection may take to complete a frame, counted
+          from its accept or its last reply *)
   max_frame : int;  (** {!Wire.unframe} bound *)
   node_id : string;
       (** the id this node reports in {!Wire.Telemetry} replies — the
@@ -44,7 +53,7 @@ type config = {
 }
 
 val default_config : config
-(** 4 workers, 16 nodes, 1 estimator shard,
+(** 16 nodes, 1 estimator shard,
     {!Mitos_obs.Netio.default_timeout} read timeout,
     {!Wire.default_max_frame}, node id ["node0"]. *)
 
@@ -85,8 +94,7 @@ val handle_body : t -> string -> string
     response frame body out. Decode failures and out-of-range nodes
     become {!Wire.Err} responses (with the request's id when it could
     be parsed, 0 otherwise); this never raises. Safe to call from any
-    domain — the estimator serializes internally and counter updates
-    are atomic. *)
+    domain — the estimator serializes internally. *)
 
 (** {1 Listeners} *)
 
@@ -94,8 +102,8 @@ type listener
 
 val start : t -> Transport.endpoint -> listener
 (** Serve [t] on the endpoint. [Tcp]/[Unix_sock]: bind, listen and
-    spawn the acceptor + workers (a TCP port of 0 lets the kernel
-    pick; read it back with {!endpoint}). [Memory]: register the
+    spawn the loop's domain (a TCP port of 0 lets the kernel pick;
+    read it back with {!endpoint}). [Memory]: register the
     loopback handler, spawning nothing. Raises [Unix.Unix_error] if
     the address cannot be bound, [Invalid_argument] if the loopback
     name is taken. *)
@@ -104,6 +112,6 @@ val endpoint : listener -> Transport.endpoint
 (** The endpoint as actually bound. *)
 
 val stop : listener -> unit
-(** Graceful shutdown: stop accepting, close the listening socket
-    (unlinking a Unix-socket path), let in-flight requests finish,
-    join the workers and the acceptor. Idempotent. *)
+(** Shutdown: within the loop's 0.2 s stop tick, close every
+    connection and the listening socket (unlinking a Unix-socket
+    path), then join the loop's domain. Idempotent. *)

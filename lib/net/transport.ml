@@ -208,13 +208,6 @@ let recv c =
         else Ok frame)
     | Sock s -> recv_sock s
 
-let of_fd ?(max_frame = Wire.default_max_frame) ~peer fd =
-  {
-    kind = Sock { fd; buf = Buffer.create 512; consumed = 0; max_frame };
-    peer;
-    closed = false;
-  }
-
 let close c =
   if not c.closed then begin
     c.closed <- true;

@@ -1,7 +1,7 @@
 (** Instrumented mutex: a [Mutex.t] wrapper that counts acquisitions,
     contended acquisitions (the fast-path [try_lock] failed), and
     total/max wait and hold nanoseconds, so the known hot locks
-    (executor queue, estimator slots, registry exposition) answer
+    (estimator slots, registry exposition) answer
     "where does the time go" with numbers instead of guesses.
 
     The uncontended fast path adds one atomic increment, a [try_lock]

@@ -20,9 +20,11 @@
     (after the run, when state is quiescent) and writes the payloads
     to files — what tests and CI diff.
 
-    Requests are served sequentially (one connection at a time): the
-    intended clients are a scraper and a human with [curl], and a
-    sequential loop keeps the server at zero shared mutable state. *)
+    Connections are served by one non-blocking {!Netio.serve} loop on
+    the server domain, so an idle or slow client never holds up a
+    scrape. A request head must arrive within {!Netio.default_timeout}
+    of the accept, and past {!Netio.max_conns} open connections a new
+    one is answered 503 and closed. *)
 
 type payload = {
   status : int;  (** HTTP status code, e.g. 200, 503 *)
@@ -76,9 +78,8 @@ val addr : t -> string
 (** ["HOST:PORT"] as bound. *)
 
 val stop : t -> unit
-(** Close the listening socket and join the server domain.
-    Idempotent. In-flight requests finish; queued connections are
-    dropped. *)
+(** Close every connection and the listening socket, and join the
+    server domain. Idempotent. *)
 
 val oneshot : dir:string -> route list -> (string * string) list
 (** The offline twin: evaluate every route's payload once, in list

@@ -201,7 +201,7 @@ let test_gate_windows () =
           slow@t=7s until=8s delay=10ms\n")
   in
   let config =
-    { Server.default_config with workers = 0; nodes = 4 }
+    { Server.default_config with nodes = 4 }
   in
   let service =
     Server.create ~config ~params:Mitos_experiments.Calib.attack_params ()

@@ -4,7 +4,6 @@ module Client = Mitos_net.Client
 module Server = Mitos_net.Server
 module Netcluster = Mitos_net.Netcluster
 module Loadgen = Mitos_net.Loadgen
-module Executor = Mitos_parallel.Executor
 module Tag = Mitos_tag.Tag
 module Tag_type = Mitos_tag.Tag_type
 module W = Mitos_workload
@@ -472,7 +471,7 @@ let test_connect_refused () =
 (* -- Server + Client over TCP --------------------------------------------- *)
 
 let test_tcp_service () =
-  let config = { Server.default_config with workers = 2; read_timeout = 2.0 } in
+  let config = { Server.default_config with read_timeout = 2.0 } in
   let service = Server.create ~config ~params () in
   let listener =
     Server.start service (Transport.Tcp { host = "127.0.0.1"; port = 0 })
@@ -534,7 +533,7 @@ let raw_roundtrip conn request ~id =
 let test_corrupt_frame_mid_stream () =
   (* a corrupt body on an established connection must get a typed Err
      and leave both that connection and its siblings serving *)
-  let config = { Server.default_config with workers = 2; read_timeout = 2.0 } in
+  let config = { Server.default_config with read_timeout = 2.0 } in
   let service = Server.create ~config ~params () in
   let listener =
     Server.start service (Transport.Tcp { host = "127.0.0.1"; port = 0 })
@@ -582,8 +581,7 @@ let test_oversized_frame_hangs_up () =
      the framing layer: one typed Err, then hangup — siblings
      unaffected *)
   let config =
-    { Server.default_config with
-      workers = 2; read_timeout = 2.0; max_frame = 4096 }
+    { Server.default_config with read_timeout = 2.0; max_frame = 4096 }
   in
   let service = Server.create ~config ~params () in
   let listener =
@@ -618,6 +616,138 @@ let test_oversized_frame_hangs_up () =
           (* the sibling's connection survived its neighbour's demise *)
           ok_client (Client.ping sibling)))
 
+(* -- Hostile clients against one socket loop ------------------------------ *)
+
+let tcp_server config =
+  let service = Server.create ~config ~params () in
+  ( service,
+    Server.start service (Transport.Tcp { host = "127.0.0.1"; port = 0 }) )
+
+let open_raw ep n = List.init n (fun _ -> raw_conn ep)
+
+let test_idle_and_slowloris_do_not_starve () =
+  (* 64 idle sockets and one that trickles a frame a byte every 50 ms
+     must not delay a live client, and the trickler is cut off by the
+     deadline however many bytes it sends *)
+  let read_timeout = 1.0 in
+  let _, listener = tcp_server { Server.default_config with read_timeout } in
+  Fun.protect
+    ~finally:(fun () -> Server.stop listener)
+    (fun () ->
+      let ep = Server.endpoint listener in
+      let idle = open_raw ep 64 in
+      let host, port =
+        match ep with
+        | Transport.Tcp { host; port } -> (host, port)
+        | _ -> Alcotest.fail "expected a TCP endpoint"
+      in
+      let slow =
+        match
+          Mitos_obs.Netio.connect_tcp ~timeout:(read_timeout +. 2.0) ~host
+            ~port ()
+        with
+        | Ok fd -> fd
+        | Error msg -> Alcotest.fail msg
+      in
+      let slow_t0 = Unix.gettimeofday () in
+      let frame = Wire.frame (String.make 1000 'x') in
+      let trickler =
+        Domain.spawn (fun () ->
+            let rec go i =
+              if
+                i < String.length frame
+                && Unix.gettimeofday () -. slow_t0 < read_timeout +. 1.5
+              then
+                match Unix.write_substring slow frame i 1 with
+                | _ ->
+                  Unix.sleepf 0.05;
+                  go (i + 1)
+                | exception Unix.Unix_error _ -> ()
+            in
+            go 0)
+      in
+      let live = ok_client (Client.connect ~timeout:2.0 ep) in
+      let lat =
+        Array.init 200 (fun _ ->
+            let t0 = Unix.gettimeofday () in
+            ok_client (Client.ping live);
+            Unix.gettimeofday () -. t0)
+      in
+      Array.sort compare lat;
+      let p99 = lat.(197) in
+      if p99 >= 0.010 then
+        Alcotest.failf "live client p99 %.1f ms with 65 hostile sockets"
+          (p99 *. 1e3);
+      let closed =
+        match Unix.read slow (Bytes.create 16) 0 16 with
+        | 0 -> true
+        | _ -> false
+        | exception Unix.Unix_error _ -> false
+      in
+      let waited = Unix.gettimeofday () -. slow_t0 in
+      Domain.join trickler;
+      Mitos_obs.Netio.close_quietly slow;
+      Client.close live;
+      List.iter Transport.close idle;
+      Alcotest.(check bool) "slowloris sees EOF" true closed;
+      if waited > read_timeout +. 1.0 then
+        Alcotest.failf "slowloris held open %.2f s (read timeout %.1f s)" waited
+          read_timeout)
+
+let test_connection_limit_refuses () =
+  let service, listener = tcp_server Server.default_config in
+  let reg = Server.registry service in
+  let gauge = Mitos_obs.Registry.gauge reg "mitos_net_connections_open" in
+  let refused =
+    Mitos_obs.Registry.counter reg "mitos_net_connections_refused_total"
+  in
+  Fun.protect
+    ~finally:(fun () -> Server.stop listener)
+    (fun () ->
+      let ep = Server.endpoint listener in
+      let bound = Mitos_obs.Netio.max_conns in
+      (* open in batches the loop has taken into its table before the
+         next, so the kernel's accept queue never overflows and the
+         connection after the last batch is the one past the bound *)
+      let await_open n =
+        let t0 = Unix.gettimeofday () in
+        while
+          Mitos_obs.Registry.gauge_value gauge < float_of_int n
+          && Unix.gettimeofday () -. t0 < 2.0
+        do
+          Unix.sleepf 0.001
+        done
+      in
+      let conns =
+        List.concat
+          (List.init (bound / 16) (fun batch ->
+               let opened = open_raw ep 16 in
+               await_open ((batch + 1) * 16);
+               opened))
+      in
+      Fun.protect
+        ~finally:(fun () -> List.iter Transport.close conns)
+        (fun () ->
+          Alcotest.(check (float 0.0)) "table full" (float_of_int bound)
+            (Mitos_obs.Registry.gauge_value gauge);
+          let extra = raw_conn ep in
+          (match Transport.recv extra with
+          | Ok body -> (
+            match Wire.decode_response body with
+            | Ok (0, Wire.Err msg) ->
+              Alcotest.(check bool) "typed refusal" true
+                (String.length msg >= 16
+                && String.sub msg 0 16 = "connection limit")
+            | Ok _ -> Alcotest.fail "want Err \"connection limit ...\""
+            | Error err -> Alcotest.fail (Wire.error_to_string err))
+          | Error err -> Alcotest.fail (Wire.error_to_string err));
+          Transport.close extra;
+          Alcotest.(check int) "refusal counted" 1
+            (Mitos_obs.Registry.counter_value refused);
+          match raw_roundtrip (List.hd conns) Wire.Ping ~id:3 with
+          | Wire.Pong -> ()
+          | _ -> Alcotest.fail "an admitted connection must still serve"))
+
 let test_connect_failure_classification () =
   Alcotest.(check bool) "refused" true
     (Transport.connect_failure "tcp://127.0.0.1:1: refused connection"
@@ -647,7 +777,7 @@ let test_sharded_estimator_service_equivalent () =
     with_server
       ~config:
         { Server.default_config with
-          nodes = 8; workers = 0; estimator_shards = shards }
+          nodes = 8; estimator_shards = shards }
       (fun _service ep ->
         let c = ok_client (Client.connect ep) in
         Fun.protect
@@ -701,32 +831,6 @@ let test_server_rejects_bad_shards () =
        false
      with Invalid_argument _ -> true)
 
-(* -- Executor -------------------------------------------------------------- *)
-
-let test_executor_inline () =
-  let e = Executor.create ~workers:0 () in
-  let hits = ref 0 in
-  Executor.submit e (fun () -> incr hits);
-  Alcotest.(check int) "inline task ran synchronously" 1 !hits;
-  Executor.submit e (fun () -> failwith "boom");
-  Alcotest.(check int) "failure contained and counted" 1 (Executor.failures e);
-  Executor.shutdown e;
-  Alcotest.(check bool) "submit after shutdown rejected" true
-    (try
-       Executor.submit e (fun () -> ());
-       false
-     with Invalid_argument _ -> true)
-
-let test_executor_parallel_drain () =
-  let e = Executor.create ~workers:2 () in
-  let hits = Atomic.make 0 in
-  for _ = 1 to 100 do
-    Executor.submit e (fun () -> Atomic.incr hits)
-  done;
-  Executor.shutdown e;
-  Alcotest.(check int) "all tasks ran before join" 100 (Atomic.get hits);
-  Alcotest.(check int) "nothing left queued" 0 (Executor.pending e)
-
 (* -- Netcluster ------------------------------------------------------------ *)
 
 let small_nodes n =
@@ -743,7 +847,7 @@ let test_netcluster_byte_identical_to_cluster () =
   in
   let looped =
     with_server
-      ~config:{ Server.default_config with nodes = 3; workers = 0 }
+      ~config:{ Server.default_config with nodes = 3 }
       (fun _service ep ->
         let t =
           Netcluster.create ~params ~sync_period ~endpoint:ep (small_nodes 3)
@@ -1294,6 +1398,10 @@ let () =
             test_corrupt_frame_mid_stream;
           Alcotest.test_case "oversized frame hangs up" `Quick
             test_oversized_frame_hangs_up;
+          Alcotest.test_case "idle and slowloris sockets do not starve" `Quick
+            test_idle_and_slowloris_do_not_starve;
+          Alcotest.test_case "connection limit refuses" `Quick
+            test_connection_limit_refuses;
           Alcotest.test_case "connect failure classification" `Quick
             test_connect_failure_classification;
           Alcotest.test_case "sharded estimator equivalent" `Quick
@@ -1312,12 +1420,6 @@ let () =
           Alcotest.test_case "retry then succeed" `Quick test_retry_then_succeed;
           Alcotest.test_case "retries exhausted" `Quick test_retries_exhausted;
           Alcotest.test_case "connect refused" `Quick test_connect_refused;
-        ] );
-      ( "executor",
-        [
-          Alcotest.test_case "inline" `Quick test_executor_inline;
-          Alcotest.test_case "parallel drain" `Quick
-            test_executor_parallel_drain;
         ] );
       ( "netcluster",
         [

@@ -664,6 +664,39 @@ let test_server_serve_fetch_stop () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "stopped server still answering"
 
+let test_server_idle_sockets_do_not_block () =
+  let server = Server.start (ping_routes (ref 0)) in
+  Fun.protect
+    ~finally:(fun () -> Server.stop server)
+    (fun () ->
+      let addr =
+        Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server)
+      in
+      let idle =
+        List.init 64 (fun _ ->
+            let sock = Unix.socket PF_INET SOCK_STREAM 0 in
+            Unix.connect sock addr;
+            sock)
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          List.iter
+            (fun s -> try Unix.close s with Unix.Unix_error _ -> ())
+            idle)
+        (fun () ->
+          let t0 = Unix.gettimeofday () in
+          (match
+             Server.fetch ~host:"127.0.0.1" ~port:(Server.port server)
+               ~path:"/ping" ()
+           with
+          | Ok (200, _) -> ()
+          | Ok (st, _) -> Alcotest.failf "/ping status %d" st
+          | Error e -> Alcotest.fail e);
+          let took = Unix.gettimeofday () -. t0 in
+          if took > 0.1 then
+            Alcotest.failf "/ping took %.0f ms behind 64 idle sockets"
+              (took *. 1e3)))
+
 let test_server_rejects_non_get () =
   let server = Server.start (ping_routes (ref 0)) in
   Fun.protect
@@ -684,6 +717,28 @@ let test_server_rejects_non_get () =
           let status_line = Bytes.sub_string buf 0 n in
           Alcotest.(check bool) "405" true
             (string_contains status_line "405")))
+
+let test_server_head_trickled () =
+  (* one byte per write, so the head terminator straddles reads *)
+  let server = Server.start (ping_routes (ref 0)) in
+  Fun.protect
+    ~finally:(fun () -> Server.stop server)
+    (fun () ->
+      let sock = Unix.socket PF_INET SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close sock with Unix.Unix_error _ -> ())
+        (fun () ->
+          Unix.connect sock
+            (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server));
+          Unix.setsockopt sock TCP_NODELAY true;
+          String.iter
+            (fun c ->
+              ignore (Unix.write_substring sock (String.make 1 c) 0 1);
+              Unix.sleepf 0.002)
+            "GET /ping HTTP/1.0\r\n\r\n";
+          let reply = Mitos_obs.Netio.read_to_eof sock in
+          Alcotest.(check bool) "200" true (string_contains reply "200 OK");
+          Alcotest.(check bool) "body" true (string_contains reply "pong")))
 
 let test_server_oneshot_deterministic () =
   let routes = ping_routes (ref 0) in
@@ -1981,8 +2036,12 @@ let () =
         [
           Alcotest.test_case "serve/fetch/stop" `Quick
             test_server_serve_fetch_stop;
+          Alcotest.test_case "idle sockets do not block" `Quick
+            test_server_idle_sockets_do_not_block;
           Alcotest.test_case "non-GET rejected" `Quick
             test_server_rejects_non_get;
+          Alcotest.test_case "head trickled byte by byte" `Quick
+            test_server_head_trickled;
           Alcotest.test_case "oneshot deterministic" `Quick
             test_server_oneshot_deterministic;
           Alcotest.test_case "oneshot propagates" `Quick

@@ -127,92 +127,6 @@ let test_many_small_batches () =
           (Pool.map pool ~f:(fun x -> x + round) xs)
       done)
 
-(* -- sharded executor -------------------------------------------------- *)
-
-module Executor = Mitos_parallel.Executor
-
-(* wait until [cond] holds or a generous deadline passes; the executor
-   gives no completion callback, so tests poll a counter *)
-let await ?(timeout_s = 10.0) cond =
-  let t0 = Unix.gettimeofday () in
-  while (not (cond ())) && Unix.gettimeofday () -. t0 < timeout_s do
-    Domain.cpu_relax ()
-  done;
-  cond ()
-
-let test_executor_drains () =
-  let ex = Executor.create ~name:"test-drain" ~workers:3 () in
-  let hits = Atomic.make 0 in
-  for _ = 1 to 100 do
-    Executor.submit ex (fun () -> Atomic.incr hits)
-  done;
-  Alcotest.(check bool) "all tasks ran" true
-    (await (fun () -> Atomic.get hits = 100));
-  (* pending counts running work too, so the last task's slot clears a
-     beat after its effect is visible *)
-  Alcotest.(check bool) "nothing pending" true
-    (await (fun () -> Executor.pending ex = 0));
-  checki "no failures" 0 (Executor.failures ex);
-  Executor.shutdown ex;
-  Executor.shutdown ex (* idempotent *)
-
-let test_executor_submit_to_routing () =
-  let ex = Executor.create ~name:"test-route" ~workers:4 () in
-  let hits = Atomic.make 0 in
-  (* any shard index is accepted: in-range, beyond the worker count,
-     and negative all reduce modulo the shard count *)
-  List.iter
-    (fun shard -> Executor.submit_to ex ~shard (fun () -> Atomic.incr hits))
-    [ 0; 1; 2; 3; 4; 17; -1; -5 ];
-  Alcotest.(check bool) "all routed tasks ran" true
-    (await (fun () -> Atomic.get hits = 8));
-  Executor.shutdown ex
-
-let test_executor_inline () =
-  (* workers=0 runs every task inline in the caller, including the
-     shard-pinned form *)
-  let ex = Executor.create ~name:"test-inline" ~workers:0 () in
-  let acc = ref 0 in
-  Executor.submit ex (fun () -> acc := !acc + 1);
-  Executor.submit_to ex ~shard:5 (fun () -> acc := !acc + 10);
-  checki "inline effects immediate" 11 !acc;
-  Executor.shutdown ex
-
-let test_executor_failures_counted () =
-  let ex = Executor.create ~name:"test-fail" ~workers:2 () in
-  let ok = Atomic.make 0 in
-  Executor.submit ex (fun () -> failwith "boom");
-  Executor.submit ex (fun () -> Atomic.incr ok);
-  Executor.submit ex (fun () -> failwith "boom again");
-  Executor.submit ex (fun () -> Atomic.incr ok);
-  Alcotest.(check bool) "survivors ran" true
-    (await (fun () -> Atomic.get ok = 2 && Executor.failures ex = 2));
-  checki "failures counted" 2 (Executor.failures ex);
-  Executor.shutdown ex
-
-let test_executor_concurrent_submit_stress () =
-  (* several domains submitting (mixed routed/unrouted) while workers
-     drain and steal: every task must run exactly once *)
-  let ex = Executor.create ~name:"test-stress" ~workers:3 () in
-  let hits = Atomic.make 0 in
-  let per_domain = 2_000 in
-  let submitters =
-    List.init 4 (fun d ->
-        Domain.spawn (fun () ->
-            for i = 1 to per_domain do
-              if i land 1 = 0 then
-                Executor.submit ex (fun () -> Atomic.incr hits)
-              else
-                Executor.submit_to ex ~shard:(d + i) (fun () ->
-                    Atomic.incr hits)
-            done))
-  in
-  List.iter Domain.join submitters;
-  Alcotest.(check bool) "no lost or duplicated tasks" true
-    (await (fun () -> Atomic.get hits = 4 * per_domain));
-  checki "exact count" (4 * per_domain) (Atomic.get hits);
-  Executor.shutdown ex
-
 (* -- the report determinism contract ---------------------------------- *)
 
 let markdown_of sections =
@@ -275,18 +189,6 @@ let () =
           Alcotest.test_case "map_opt" `Quick test_map_opt;
           Alcotest.test_case "many small batches" `Quick
             test_many_small_batches;
-        ] );
-      ( "executor",
-        [
-          Alcotest.test_case "drains to empty" `Quick test_executor_drains;
-          Alcotest.test_case "submit_to routes modulo shards" `Quick
-            test_executor_submit_to_routing;
-          Alcotest.test_case "workers=0 runs inline" `Quick
-            test_executor_inline;
-          Alcotest.test_case "failures counted" `Quick
-            test_executor_failures_counted;
-          Alcotest.test_case "concurrent submit stress" `Quick
-            test_executor_concurrent_submit_stress;
         ] );
       ( "determinism",
         [
