@@ -29,11 +29,13 @@ let under_submarginal p ty ~n =
   if n <= 0.0 then neg_infinity
   else -.(Params.u p ty *. (n ** -.p.Params.alpha))
 
-let over_submarginal p ty ~pollution =
+let over_factor p ~pollution =
   let n_r = float_of_int p.Params.total_tag_space in
   Params.tau_effective p *. p.Params.beta
   *. ((Float.max 0.0 pollution /. n_r) ** (p.Params.beta -. 1.0))
-  *. Params.o p ty
+
+let over_submarginal p ty ~pollution =
+  over_factor p ~pollution *. Params.o p ty
 
 let marginal p ty ~n ~pollution =
   under_submarginal p ty ~n +. over_submarginal p ty ~pollution
@@ -64,11 +66,6 @@ module Fast = struct
   }
 
   let default_table_size = 4096
-
-  let g_factor p pollution =
-    let n_r = float_of_int p.Params.total_tag_space in
-    Params.tau_effective p *. p.Params.beta
-    *. ((Float.max 0.0 pollution /. n_r) ** (p.Params.beta -. 1.0))
 
   let create ?(table_size = default_table_size) (p : Params.t) =
     if table_size < 1 then
@@ -102,12 +99,15 @@ module Fast = struct
     if n >= 0 && n < Array.length row then Array.unsafe_get row n
     else under_submarginal t.params ty ~n:(float_of_int n)
 
-  let over_submarginal t ty ~pollution =
+  let over_factor t ~pollution =
     if pollution <> t.cached_pollution then begin
-      t.cached_g <- g_factor t.params pollution;
+      t.cached_g <- over_factor t.params ~pollution;
       t.cached_pollution <- pollution
     end;
-    t.cached_g *. Params.o t.params ty
+    t.cached_g
+
+  let over_submarginal t ty ~pollution =
+    over_factor t ~pollution *. Params.o t.params ty
 
   let marginal t ty ~n ~pollution =
     under_submarginal t ty ~n +. over_submarginal t ty ~pollution

@@ -50,9 +50,13 @@ val under_submarginal : Params.t -> Tag_type.t -> n:float -> float
     At [n = 0] this is [neg_infinity]: the first copy of a tag is
     always worth propagating. *)
 
+val over_factor : Params.t -> pollution:float -> float
+(** [tau_eff · β · (P/N_R)^(β-1)] — the overtainting power factor,
+    shared by every tag type; negative pollution counts as 0. *)
+
 val over_submarginal : Params.t -> Tag_type.t -> pollution:float -> float
-(** [tau_eff · β · (P/N_R)^(β-1) · o_t] — the (non-negative)
-    overtainting part of Eq. (8). *)
+(** [over_factor · o_t] — the (non-negative) overtainting part of
+    Eq. (8). *)
 
 val marginal : Params.t -> Tag_type.t -> n:float -> pollution:float -> float
 (** Eq. (8): [under_submarginal + over_submarginal] — the marginal
@@ -99,6 +103,9 @@ module Fast : sig
   val under_submarginal : t -> Mitos_tag.Tag_type.t -> n:int -> float
   (** Table read for [n] in range; exact formula beyond. Equals
       [Cost.under_submarginal ~n:(float_of_int n)] bit-for-bit. *)
+
+  val over_factor : t -> pollution:float -> float
+  (** {!Cost.over_factor} through the pollution cache. *)
 
   val over_submarginal : t -> Mitos_tag.Tag_type.t -> pollution:float -> float
 

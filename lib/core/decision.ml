@@ -74,25 +74,33 @@ let audit () = Atomic.get audit_probe
 let of_stats p stats =
   { count = Tag_stats.count stats; pollution = Cost.weighted_pollution p stats }
 
-let marginal p env tag =
-  Cost.marginal p (Tag.ty tag)
-    ~n:(float_of_int (env.count tag))
-    ~pollution:env.pollution
-
 let submarginals p env tag =
   let ty = Tag.ty tag in
   ( Cost.under_submarginal p ty ~n:(float_of_int (env.count tag)),
     Cost.over_submarginal p ty ~pollution:env.pollution )
 
+(* Where a decision reads Eq. (8)'s two halves from: the formula
+   itself, or the [Cost.Fast] table and pollution cache. Both give
+   the same bits. *)
+type oracle = Direct of Params.t | Table of Cost.Fast.t
+
+let params_of = function Direct p -> p | Table f -> Cost.Fast.params f
+
+let under_of oracle ty n =
+  match oracle with
+  | Direct p -> Cost.under_submarginal p ty ~n:(float_of_int n)
+  | Table f -> Cost.Fast.under_submarginal f ty ~n
+
+let factor_of oracle pollution =
+  match oracle with
+  | Direct p -> Cost.over_factor p ~pollution
+  | Table f -> Cost.Fast.over_factor f ~pollution
+
 (* The recorded overtainting part is [m - under], not a fresh
    [over_submarginal] read: within Alg. 2's greedy pass the pollution
    (and with it the overtainting term) moves after each acceptance,
    and the audit log must show the split the verdict actually used. *)
-let audit_tag p env tag m v =
-  let under =
-    Cost.under_submarginal p (Tag.ty tag)
-      ~n:(float_of_int (env.count tag))
-  in
+let audit_entry ~under tag m v =
   {
     Mitos_obs.Audit.tag = Tag.to_string tag;
     under;
@@ -104,83 +112,120 @@ let audit_tag p env tag m v =
       | Block -> Mitos_obs.Audit.Block);
   }
 
-let alg1 p env tag =
+(* [u +. (g *. o)] is the float expression of [Cost.marginal]. *)
+let decide1 ~algorithm oracle env tag =
   timed
     (fun pr -> pr.alg1_latency)
     (fun () ->
-      let m = marginal p env tag in
+      let ty = Tag.ty tag in
+      let under = under_of oracle ty (env.count tag) in
+      let o = Params.o (params_of oracle) ty in
+      let m = under +. (factor_of oracle env.pollution *. o) in
       let v = if m <= 0.0 then Propagate else Block in
       (match Atomic.get audit_probe with
       | None -> ()
       | Some recorder ->
-        Mitos_obs.Audit.record_decision recorder ~algorithm:"alg1" ~space:1
+        Mitos_obs.Audit.record_decision recorder ~algorithm ~space:1
           ~pollution:env.pollution
-          [ audit_tag p env tag m v ]);
+          [ audit_entry ~under tag m v ]);
       v)
+
+let alg1 p env tag = decide1 ~algorithm:"alg1" (Direct p) env tag
 
 type ranked = { tag : Tag.t; marginal : float; verdict : verdict }
 
-let audit_ranked p env ~algorithm ~space ranked =
-  match Atomic.get audit_probe with
-  | None -> ()
-  | Some recorder ->
-    Mitos_obs.Audit.record_decision recorder ~algorithm ~space
-      ~pollution:env.pollution
-      (List.map (fun r -> audit_tag p env r.tag r.marginal r.verdict) ranked)
-
-let run_alg2 ~recompute p env ~space candidates =
-  if space < 0 then invalid_arg "Decision.alg2: negative space";
-  (match Atomic.get probe with
-  | None -> ()
-  | Some pr ->
-    Mitos_obs.Histogram.observe pr.alg2_candidates
-      (float_of_int (List.length candidates)));
-  (* Line 1-2: marginals for all candidates, sorted increasingly. *)
+(* The one Alg. 2 greedy loop. A candidate's undertainting half does
+   not depend on the pollution, so it is evaluated once; the
+   overtainting power factor moves only when an acceptance moves the
+   pollution, so it is evaluated up front and again after an
+   acceptance, if a candidate follows. As in [decide1], the sums are
+   [Cost.marginal]'s, so marginals and verdicts are bit-identical to
+   evaluating Eq. (8) afresh for every candidate. [recompute] is the
+   paper's line 9; [early_break] is its while loop's exit at the first
+   candidate it does not accept. [audit_as] names the run in the
+   flight recorder. *)
+let greedy ~name ?audit_as ~recompute ~early_break oracle env ~space tags =
+  if space < 0 then invalid_arg ("Decision." ^ name ^ ": negative space");
+  let p = params_of oracle in
+  let g0 = factor_of oracle env.pollution in
+  (* Lines 1-2: marginals for all candidates, sorted increasingly. *)
   let initial =
-    List.map (fun tag -> (tag, marginal p env tag)) candidates
-    |> List.stable_sort (fun (_, a) (_, b) -> Float.compare a b)
+    List.map
+      (fun tag ->
+        let ty = Tag.ty tag in
+        let under = under_of oracle ty (env.count tag) in
+        (tag, under, under +. (g0 *. Params.o p ty)))
+      tags
+    |> List.stable_sort (fun (_, _, a) (_, _, b) -> Float.compare a b)
   in
   (* Lines 3-10: greedy pass. Each accepted propagation adds o_t to
-     the pollution, shifting subsequent overtainting submarginals. *)
-  let pollution = ref env.pollution in
-  let props = ref 0 in
-  List.map
-    (fun (tag, initial_marginal) ->
-      let m =
-        if recompute then
-          Cost.marginal p (Tag.ty tag)
-            ~n:(float_of_int (env.count tag))
-            ~pollution:!pollution
-        else initial_marginal
+     the pollution, shifting subsequent overtainting submarginals.
+     Candidates keep their initial order even when that shift, scaled
+     by heterogeneous o_t, would reorder the remaining marginals. *)
+  let[@tail_mod_cons] rec pass g pollution props open_ = function
+    | [] -> []
+    | (tag, under, initial) :: rest ->
+      let o = Params.o p (Tag.ty tag) in
+      let marginal = if recompute then under +. (g *. o) else initial in
+      if open_ && props < space && marginal <= 0.0 then
+        let pollution = pollution +. o in
+        let g =
+          match rest with
+          | _ :: _ when recompute -> factor_of oracle pollution
+          | _ -> g
+        in
+        { tag; marginal; verdict = Propagate }
+        :: pass g pollution (props + 1) open_ rest
+      else
+        { tag; marginal; verdict = Block }
+        :: pass g pollution props (open_ && not early_break) rest
+  in
+  let ranked = pass g0 env.pollution 0 true initial in
+  (match (audit_as, Atomic.get audit_probe) with
+  | Some algorithm, Some recorder ->
+    Mitos_obs.Audit.record_decision recorder ~algorithm ~space
+      ~pollution:env.pollution
+      (List.map2
+         (fun (_, under, _) r -> audit_entry ~under r.tag r.marginal r.verdict)
+         initial ranked)
+  | _ -> ());
+  ranked
+
+(* Alg. 2 as the library runs it: timed, batch size observed, audited. *)
+let probed ~algorithm ~recompute oracle env ~space tags =
+  timed
+    (fun pr -> pr.alg2_latency)
+    (fun () ->
+      let name =
+        match oracle with Direct _ -> "alg2" | Table _ -> "alg2_fast"
       in
-      if !props < space && m <= 0.0 then begin
-        incr props;
-        pollution := !pollution +. Params.o p (Tag.ty tag);
-        { tag; marginal = m; verdict = Propagate }
-      end
-      else { tag; marginal = m; verdict = Block })
-    initial
-
-let alg2 p env ~space candidates =
-  timed
-    (fun pr -> pr.alg2_latency)
-    (fun () ->
-      let ranked = run_alg2 ~recompute:true p env ~space candidates in
-      audit_ranked p env ~algorithm:"alg2" ~space ranked;
+      let ranked =
+        greedy ~name ~audit_as:algorithm ~recompute ~early_break:false oracle
+          env ~space tags
+      in
+      (match Atomic.get probe with
+      | None -> ()
+      | Some pr ->
+        Mitos_obs.Histogram.observe pr.alg2_candidates
+          (float_of_int (List.length tags)));
       ranked)
 
-let alg2_accepted p env ~space candidates =
-  alg2 p env ~space candidates
-  |> List.filter_map (fun r ->
-         match r.verdict with Propagate -> Some r.tag | Block -> None)
+let accepted_tags ranked =
+  List.filter_map
+    (fun r -> match r.verdict with Propagate -> Some r.tag | Block -> None)
+    ranked
 
-let alg2_no_recompute p env ~space candidates =
-  timed
-    (fun pr -> pr.alg2_latency)
-    (fun () ->
-      let ranked = run_alg2 ~recompute:false p env ~space candidates in
-      audit_ranked p env ~algorithm:"alg2-no-recompute" ~space ranked;
-      ranked)
+let alg2 p env ~space tags =
+  probed ~algorithm:"alg2" ~recompute:true (Direct p) env ~space tags
+let alg2_accepted p env ~space tags = accepted_tags (alg2 p env ~space tags)
+
+let alg2_no_recompute p env ~space tags =
+  probed ~algorithm:"alg2-no-recompute" ~recompute:false (Direct p) env ~space
+    tags
+
+let alg2_paper p env ~space tags =
+  greedy ~name:"alg2_paper" ~recompute:true ~early_break:true (Direct p) env
+    ~space tags
 
 (* -- table-backed fast path ------------------------------------------ *)
 
@@ -194,102 +239,14 @@ let marginal_fast f env tag =
   Cost.Fast.marginal f (Tag.ty tag) ~n:(env.count tag)
     ~pollution:env.pollution
 
-let alg1_fast f env tag =
-  timed
-    (fun pr -> pr.alg1_latency)
-    (fun () ->
-      let m = marginal_fast f env tag in
-      let v = if m <= 0.0 then Propagate else Block in
-      (match Atomic.get audit_probe with
-      | None -> ()
-      | Some recorder ->
-        Mitos_obs.Audit.record_decision recorder ~algorithm:"alg1-fast"
-          ~space:1 ~pollution:env.pollution
-          [ audit_tag (Cost.Fast.params f) env tag m v ]);
-      v)
+let alg1_fast f env tag = decide1 ~algorithm:"alg1-fast" (Table f) env tag
 
-(* Mirrors [run_alg2] step for step; because the table and the
-   pollution cache reproduce Eq. 8 bit-for-bit, the sort keys, the
-   greedy pass and hence the verdicts are identical to the direct
-   formula's. *)
-let run_alg2_fast ~recompute f env ~space candidates =
-  if space < 0 then invalid_arg "Decision.alg2_fast: negative space";
-  (match Atomic.get probe with
-  | None -> ()
-  | Some pr ->
-    Mitos_obs.Histogram.observe pr.alg2_candidates
-      (float_of_int (List.length candidates)));
-  let initial =
-    List.map (fun tag -> (tag, marginal_fast f env tag)) candidates
-    |> List.stable_sort (fun (_, a) (_, b) -> Float.compare a b)
-  in
-  let p = Cost.Fast.params f in
-  let pollution = ref env.pollution in
-  let props = ref 0 in
-  List.map
-    (fun (tag, initial_marginal) ->
-      let m =
-        if recompute then
-          Cost.Fast.marginal f (Tag.ty tag) ~n:(env.count tag)
-            ~pollution:!pollution
-        else initial_marginal
-      in
-      if !props < space && m <= 0.0 then begin
-        incr props;
-        pollution := !pollution +. Params.o p (Tag.ty tag);
-        { tag; marginal = m; verdict = Propagate }
-      end
-      else { tag; marginal = m; verdict = Block })
-    initial
+let alg2_fast f env ~space tags =
+  probed ~algorithm:"alg2-fast" ~recompute:true (Table f) env ~space tags
 
-let alg2_fast f env ~space candidates =
-  timed
-    (fun pr -> pr.alg2_latency)
-    (fun () ->
-      let ranked = run_alg2_fast ~recompute:true f env ~space candidates in
-      audit_ranked (Cost.Fast.params f) env ~algorithm:"alg2-fast" ~space
-        ranked;
-      ranked)
+let alg2_fast_no_recompute f env ~space tags =
+  probed ~algorithm:"alg2-fast-no-recompute" ~recompute:false (Table f) env
+    ~space tags
 
-let alg2_fast_no_recompute f env ~space candidates =
-  timed
-    (fun pr -> pr.alg2_latency)
-    (fun () ->
-      let ranked = run_alg2_fast ~recompute:false f env ~space candidates in
-      audit_ranked (Cost.Fast.params f) env
-        ~algorithm:"alg2-fast-no-recompute" ~space ranked;
-      ranked)
-
-let alg2_fast_accepted f env ~space candidates =
-  alg2_fast f env ~space candidates
-  |> List.filter_map (fun r ->
-         match r.verdict with Propagate -> Some r.tag | Block -> None)
-
-let alg2_paper p env ~space candidates =
-  if space < 0 then invalid_arg "Decision.alg2_paper: negative space";
-  let initial =
-    List.map (fun tag -> (tag, marginal p env tag)) candidates
-    |> List.stable_sort (fun (_, a) (_, b) -> Float.compare a b)
-  in
-  let pollution = ref env.pollution in
-  let props = ref 0 in
-  let broken = ref false in
-  List.map
-    (fun (tag, _) ->
-      let m =
-        Cost.marginal p (Tag.ty tag)
-          ~n:(float_of_int (env.count tag))
-          ~pollution:!pollution
-      in
-      if (not !broken) && !props < space && m <= 0.0 then begin
-        incr props;
-        pollution := !pollution +. Params.o p (Tag.ty tag);
-        { tag; marginal = m; verdict = Propagate }
-      end
-      else begin
-        (* the paper's while loop exits on the first positive marginal
-           (or when space runs out) and never reconsiders *)
-        broken := true;
-        { tag; marginal = m; verdict = Block }
-      end)
-    initial
+let alg2_fast_accepted f env ~space tags =
+  accepted_tags (alg2_fast f env ~space tags)

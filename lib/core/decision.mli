@@ -24,9 +24,6 @@ type env = { count : Tag.t -> int; pollution : float }
 val of_stats : Params.t -> Tag_stats.t -> env
 (** Exact local environment derived from live statistics. *)
 
-val marginal : Params.t -> env -> Tag.t -> float
-(** Eq. (8) for one tag under the environment. *)
-
 val submarginals : Params.t -> env -> Tag.t -> float * float
 (** (undertainting, overtainting) parts of Eq. (8) — the series
     plotted in the paper's Fig. 7(a). *)
@@ -45,10 +42,17 @@ val alg2 : Params.t -> env -> space:int -> Tag.t list -> ranked list
 (** Algorithm 2: returns one entry per candidate, in the order they
     were considered (increasing initial marginal). At most [space]
     entries carry [Propagate]. The pollution term is re-evaluated
-    after each accepted propagation, as in the paper's line 9; the
-    initial sort order is preserved because the overtainting
-    submarginal shifts all remaining candidates of equal [o_t]
-    equally (and candidates are re-ranked lazily otherwise). *)
+    after each accepted propagation, as in the paper's line 9. The
+    candidates are never re-ranked: they are considered in their
+    initial order. With equal [o_t] that is also the order of the
+    updated marginals, since an acceptance shifts all of them
+    equally; with heterogeneous [o_t] it need not be.
+
+    Each candidate's undertainting half is evaluated once, and the
+    overtainting power factor up front and once per acceptance: at
+    most [k + a + 1] float powers for [k] candidates and [a]
+    acceptances, with results bit-identical to evaluating Eq. (8)
+    afresh for every candidate. *)
 
 val alg2_accepted : Params.t -> env -> space:int -> Tag.t list -> Tag.t list
 (** Just the tags to propagate, in acceptance order. *)

@@ -23,8 +23,14 @@ let default_config =
     node_id = "node0";
   }
 
-(* per-operation metric handles, resolved once at create time *)
-type op_metrics = { requests : Registry.counter; latency : Histogram.t }
+(* per-operation metric handles and span name, resolved once at create
+   time: the tracer retains the name of every span it keeps, so one
+   shared string per op keeps that memory to the span records *)
+type op_metrics = {
+  requests : Registry.counter;
+  latency : Histogram.t;
+  span : string;
+}
 
 type t = {
   config : config;
@@ -71,6 +77,7 @@ let create ?(config = default_config) ?registry ?(obs = Obs.disabled) ~params
                 ~help:"decision-service request handling latency"
                 ~labels:[ ("op", op) ] ~lo:100.0 ~growth:2.0 ~buckets:32
                 "mitos_net_request_ns";
+            span = "server." ^ op;
           } ))
       op_labels
   in
@@ -103,6 +110,8 @@ let obs t = t.obs
 
 (* -- request semantics -------------------------------------------------- *)
 
+(* Each candidate's count is looked up once, by tag, so a tag listed
+   twice takes the count of its first occurrence. *)
 let decide_one t (req : Wire.decide_request) =
   let count tag =
     match
@@ -114,14 +123,8 @@ let decide_one t (req : Wire.decide_request) =
   let env =
     { Mitos.Decision.count; pollution = req.pollution +. Estimator.global t.est }
   in
-  let ranked =
-    Mitos.Decision.alg2 t.params env ~space:req.space
-      (List.map fst req.candidates)
-  in
-  List.map
-    (fun (r : Mitos.Decision.ranked) ->
-      { Wire.tag = r.tag; marginal = r.marginal; verdict = r.verdict })
-    ranked
+  Mitos.Decision.alg2 t.params env ~space:req.space
+    (List.map fst req.candidates)
 
 let handle_request t (req : Wire.request) : Wire.response =
   match req with
@@ -179,7 +182,7 @@ let handle_request t (req : Wire.request) : Wire.response =
    under [trace_mu] because several domains may handle requests at
    once; the span is recorded with explicit timestamps after
    the work, so the critical section is just the buffer append. *)
-let record_span t ~trace ~ts0 ~ts1 op =
+let record_span t ~trace ~ts0 ~ts1 name =
   if Obs.enabled t.obs then begin
     let args =
       match trace with
@@ -190,16 +193,17 @@ let record_span t ~trace ~ts0 ~ts1 op =
     Fun.protect
       ~finally:(fun () -> Mutex.unlock t.trace_mu)
       (fun () ->
-        Tracer.complete (Obs.tracer t.obs) ~args ~ts0 ~ts1 ("server." ^ op))
+        Tracer.complete (Obs.tracer t.obs) ~args ~ts0 ~ts1 name)
   end
 
-let handle_body t body =
+(* One request body in; the id to answer with and the response out. *)
+let respond t body =
   let t0 = Unix.gettimeofday () in
   let obs_ts0 = if Obs.enabled t.obs then Obs.now t.obs else 0 in
   match Wire.decode_request body with
   | Error err ->
     Registry.incr t.errors_total;
-    Wire.encode_response_body ~id:0 (Err (Wire.error_to_string err))
+    (0, Wire.Err (Wire.error_to_string err))
   | Ok (id, trace, req) ->
     Atomic.incr t.served;
     let resp =
@@ -209,16 +213,19 @@ let handle_body t body =
         Registry.incr t.errors_total;
         Wire.Err ("internal error: " ^ Printexc.to_string exn)
     in
-    let op = Wire.request_kind req in
-    (match List.assoc_opt op t.per_op with
+    (match List.assoc_opt (Wire.request_kind req) t.per_op with
     | Some m ->
       Registry.incr m.requests;
-      Histogram.observe m.latency ((Unix.gettimeofday () -. t0) *. 1e9)
+      Histogram.observe m.latency ((Unix.gettimeofday () -. t0) *. 1e9);
+      record_span t ~trace ~ts0:obs_ts0
+        ~ts1:(if Obs.enabled t.obs then Obs.now t.obs else 0)
+        m.span
     | None -> ());
-    record_span t ~trace ~ts0:obs_ts0
-      ~ts1:(if Obs.enabled t.obs then Obs.now t.obs else 0)
-      op;
-    Wire.encode_response_body ~id resp
+    (id, resp)
+
+let handle_body t body =
+  let id, resp = respond t body in
+  Wire.encode_response_body ~id resp
 
 (* -- listeners ----------------------------------------------------------- *)
 
@@ -240,17 +247,17 @@ let err_frame msg =
    framing error cannot be resynchronised past, so it gets one Err and
    a hangup. *)
 let step t input =
-  let buf = Buffer.contents input in
   let rec frames pos replies =
-    match Wire.unframe ~max_frame:t.config.max_frame buf ~pos with
+    match Wire.unframe ~max_frame:t.config.max_frame input ~pos with
     | Ok (body, next) ->
-      frames next (Wire.frame (handle_body t body) :: replies)
+      let id, resp = respond t body in
+      frames next (Wire.encode_response ~id resp :: replies)
     | Error (Truncated _) ->
       { Netio.consumed = pos; replies = List.rev replies; keep = true }
     | Error err ->
       Registry.incr t.errors_total;
       {
-        Netio.consumed = String.length buf;
+        Netio.consumed = Buffer.length input;
         replies = List.rev (err_frame (Wire.error_to_string err) :: replies);
         keep = false;
       }

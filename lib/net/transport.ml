@@ -80,8 +80,9 @@ end
 
 type sock_state = {
   fd : Unix.file_descr;
-  buf : Buffer.t;  (* bytes read but not yet consumed as frames *)
-  mutable consumed : int;  (* frames already handed out of [buf] *)
+  buf : Buffer.t;  (* bytes read; frames before [consumed] are handed out *)
+  mutable consumed : int;  (* always a frame boundary *)
+  chunk : Bytes.t;  (* read scratch, reused across reads *)
   max_frame : int;
 }
 
@@ -95,6 +96,11 @@ type kind =
     }
 
 type conn = { kind : kind; peer : string; mutable closed : bool }
+
+let sock fd max_frame =
+  Sock
+    { fd; buf = Buffer.create 512; consumed = 0; chunk = Bytes.create 8192;
+      max_frame }
 
 let peer c = c.peer
 
@@ -118,7 +124,7 @@ let connect ?timeout ?(max_frame = Wire.default_max_frame) ep =
     | Ok fd ->
       Ok
         {
-          kind = Sock { fd; buf = Buffer.create 512; consumed = 0; max_frame };
+          kind = sock fd max_frame;
           peer = endpoint_to_string ep;
           closed = false;
         })
@@ -128,7 +134,7 @@ let connect ?timeout ?(max_frame = Wire.default_max_frame) ep =
     | Ok fd ->
       Ok
         {
-          kind = Sock { fd; buf = Buffer.create 512; consumed = 0; max_frame };
+          kind = sock fd max_frame;
           peer = endpoint_to_string ep;
           closed = false;
         })
@@ -153,44 +159,42 @@ let send c body =
       | exception Unix.Unix_error (err, _, _) ->
         Error (Printf.sprintf "%s: %s" c.peer (Unix.error_message err)))
 
-(* Pull one frame out of the socket buffer, reading more as needed.
-   The buffer is compacted once consumed frames pass 64 KiB so a
-   long-lived connection does not grow without bound. *)
-let recv_sock s =
-  let chunk = Bytes.create 8192 in
-  let rec go () =
-    match
-      Wire.unframe ~max_frame:s.max_frame (Buffer.contents s.buf)
-        ~pos:s.consumed
-    with
-    | Ok (body, pos) ->
-      s.consumed <- pos;
-      if s.consumed > 65536 then begin
-        let rest =
-          let all = Buffer.contents s.buf in
-          String.sub all s.consumed (String.length all - s.consumed)
-        in
-        Buffer.clear s.buf;
-        Buffer.add_string s.buf rest;
-        s.consumed <- 0
-      end;
-      Ok body
-    | Error (Truncated _) -> (
-      match Unix.read s.fd chunk 0 (Bytes.length chunk) with
-      | 0 ->
-        (* EOF mid-frame (or before one); the offset is how much of a
-           frame we were left holding *)
-        Error (Wire.Truncated { offset = Buffer.length s.buf - s.consumed })
-      | n ->
-        Buffer.add_subbytes s.buf chunk 0 n;
-        go ()
-      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
-        Error (Wire.Corrupt { offset = 0; msg = "read timeout" })
-      | exception Unix.Unix_error (err, _, _) ->
-        Error (Wire.Corrupt { offset = 0; msg = Unix.error_message err }))
-    | Error _ as e -> e
-  in
-  go ()
+(* Drop the frames already handed out, so the buffer holds at most the
+   frame being assembled. Runs only at frame boundaries: when the
+   buffer is used up it is just cleared, otherwise only the partial
+   frame's bytes are copied. *)
+let compact s =
+  let rest = Buffer.length s.buf - s.consumed in
+  if rest = 0 then Buffer.clear s.buf
+  else if s.consumed > 0 then begin
+    let tail = Buffer.sub s.buf s.consumed rest in
+    Buffer.clear s.buf;
+    Buffer.add_string s.buf tail
+  end;
+  s.consumed <- 0
+
+(* Cut one frame out of the socket buffer, reading more as needed. *)
+let rec recv_sock s =
+  match Wire.unframe ~max_frame:s.max_frame s.buf ~pos:s.consumed with
+  | Ok (body, pos) ->
+    s.consumed <- pos;
+    if pos = Buffer.length s.buf then compact s;
+    Ok body
+  | Error (Truncated _) -> (
+    compact s;
+    match Unix.read s.fd s.chunk 0 (Bytes.length s.chunk) with
+    | 0 ->
+      (* EOF mid-frame (or before one); the offset is how much of a
+         frame we were left holding *)
+      Error (Wire.Truncated { offset = Buffer.length s.buf })
+    | n ->
+      Buffer.add_subbytes s.buf s.chunk 0 n;
+      recv_sock s
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
+      Error (Wire.Corrupt { offset = 0; msg = "read timeout" })
+    | exception Unix.Unix_error (err, _, _) ->
+      Error (Wire.Corrupt { offset = 0; msg = Unix.error_message err }))
+  | Error _ as e -> e
 
 let recv c =
   if c.closed then

@@ -30,7 +30,7 @@ type decide_request = {
   candidates : (Tag.t * int) list;
 }
 
-type decided = {
+type decided = Mitos.Decision.ranked = {
   tag : Tag.t;
   marginal : float;
   verdict : Mitos.Decision.verdict;
@@ -147,22 +147,36 @@ let dec_decided d =
 
 (* -- framing ----------------------------------------------------------- *)
 
+(* A frame is the body behind its varint length, built with one
+   allocation and one copy of the body; [blit out pos] writes the
+   [len] body bytes. *)
+let frame_with ~len blit =
+  let e = Codec.Enc.create ~initial_size:10 () in
+  Codec.Enc.uint e len;
+  let prefix = Codec.Enc.contents e in
+  let start = String.length prefix in
+  let out = Bytes.create (start + len) in
+  Bytes.blit_string prefix 0 out 0 start;
+  blit out start;
+  Bytes.unsafe_to_string out
+
 let frame body =
-  let e = Codec.Enc.create ~initial_size:(String.length body + 4) () in
-  Codec.Enc.uint e (String.length body);
-  Codec.Enc.contents e ^ body
+  let len = String.length body in
+  frame_with ~len (fun out pos -> Bytes.blit_string body 0 out pos len)
+
+let framed e = frame_with ~len:(Codec.Enc.length e) (Codec.Enc.blit e)
 
 let unframe ?(max_frame = default_max_frame) buf ~pos =
   (* hand-rolled varint read so an incomplete prefix is Truncated, not
      an exception, and an oversized announcement never reaches the
-     String.sub below *)
-  let len = String.length buf in
+     Buffer.sub below *)
+  let len = Buffer.length buf in
   let rec length_prefix pos shift acc =
     if pos >= len then Error (Truncated { offset = pos })
     else if shift > Sys.int_size then
       Error (Corrupt { offset = pos; msg = "frame length varint too long" })
     else
-      let b = Char.code buf.[pos] in
+      let b = Char.code (Buffer.nth buf pos) in
       let acc = acc lor ((b land 0x7F) lsl shift) in
       if b land 0x80 = 0 then Ok (acc, pos + 1)
       else length_prefix (pos + 1) (shift + 7) acc
@@ -173,7 +187,7 @@ let unframe ?(max_frame = default_max_frame) buf ~pos =
     if announced < 0 || announced > max_frame then
       Error (Oversized { announced; limit = max_frame })
     else if body_pos + announced > len then Error (Truncated { offset = len })
-    else Ok (String.sub buf body_pos announced, body_pos + announced)
+    else Ok (Buffer.sub buf body_pos announced, body_pos + announced)
 
 (* -- trace context ----------------------------------------------------- *)
 
@@ -208,9 +222,9 @@ let body ?(version = version) ?trace ~has_trace ~id kind payload =
   Codec.Enc.uint e kind;
   if version >= 2 && has_trace then Codec.Enc.option e (enc_trace e) trace;
   payload e;
-  Codec.Enc.contents e
+  e
 
-let encode_request_body ?version ?trace ~id req =
+let request_encoder ?version ?trace ~id req =
   let body ~id kind payload =
     body ?version ?trace ~has_trace:true ~id kind payload
   in
@@ -227,7 +241,7 @@ let encode_request_body ?version ?trace ~id req =
     | Query_stats -> body ~id k_stats (fun _ -> ())
     | Query_telemetry -> body ~id k_telemetry (fun _ -> ()))
 
-let encode_response_body ~id resp =
+let response_encoder ~id resp =
   let body ~id kind payload = body ~has_trace:false ~id kind payload in
   (match resp with
     | Pong -> body ~id k_pong (fun _ -> ())
@@ -253,10 +267,16 @@ let encode_response_body ~id resp =
           Snapshot.write e r.snapshot)
     | Err msg -> body ~id k_err (fun e -> Codec.Enc.string e msg))
 
-let encode_request ?version ?trace ~id req =
-  frame (encode_request_body ?version ?trace ~id req)
+let encode_request_body ?version ?trace ~id req =
+  Codec.Enc.contents (request_encoder ?version ?trace ~id req)
 
-let encode_response ~id resp = frame (encode_response_body ~id resp)
+let encode_response_body ~id resp =
+  Codec.Enc.contents (response_encoder ~id resp)
+
+let encode_request ?version ?trace ~id req =
+  framed (request_encoder ?version ?trace ~id req)
+
+let encode_response ~id resp = framed (response_encoder ~id resp)
 
 let decode_body which ~read_trace decode_payload s =
   let d = Codec.Dec.of_string s in
@@ -330,7 +350,9 @@ let decode_response s =
   | Error _ as e -> e
 
 let exactly_one_frame ?max_frame decode s =
-  match unframe ?max_frame s ~pos:0 with
+  let buf = Buffer.create (String.length s) in
+  Buffer.add_string buf s;
+  match unframe ?max_frame buf ~pos:0 with
   | Error _ as e -> e
   | Ok (body, pos) ->
     if pos <> String.length s then

@@ -82,10 +82,11 @@ type decide_request = {
   candidates : (Tag.t * int) list;
 }
 
-(** One per-candidate outcome, mirroring
-    {!Mitos.Decision.ranked}: decision-order position, decision-time
-    marginal and verdict. *)
-type decided = {
+(** One per-candidate outcome: {!Mitos.Decision.ranked} itself, so
+    the server sends Alg. 2's result without converting it. List
+    position is decision order; [marginal] is the decision-time
+    marginal. *)
+type decided = Mitos.Decision.ranked = {
   tag : Tag.t;
   marginal : float;
   verdict : Mitos.Decision.verdict;
@@ -144,6 +145,8 @@ val encode_request :
     raises [Invalid_argument] if [version < 2] and a trace is given). *)
 
 val encode_response : id:int -> response -> string
+(** One complete response frame, encoded straight into the frame: the
+    body is copied once. *)
 
 val encode_request_body :
   ?version:int -> ?trace:Propagation.context -> id:int -> request -> string
@@ -154,17 +157,21 @@ val encode_response_body : id:int -> response -> string
 
 val frame : string -> string
 (** Prefix an already-encoded body with its varint length — what the
-    socket transports put on the wire. *)
+    socket transports put on the wire. Allocates the frame once and
+    copies the body into it once. *)
 
 (** {1 Decoding} *)
 
 val unframe :
-  ?max_frame:int -> string -> pos:int -> (string * int, error) result
-(** Extract one frame body from a byte buffer starting at [pos];
-    returns the body and the position just past the frame.
-    [Error Truncated] when the buffer holds only part of a frame (the
-    transport reads more and retries); [Error (Oversized _)] when the
-    announced length exceeds [max_frame]. *)
+  ?max_frame:int -> Buffer.t -> pos:int -> (string * int, error) result
+(** Cut one frame body out of a connection's read buffer, starting at
+    [pos]; returns the body and the position just past the frame. The
+    length prefix is read where it sits and only the body is copied
+    out. [Error Truncated] when the buffer holds only part of a frame
+    (the transport reads more and retries); [Error (Oversized _)] when
+    the announced length exceeds [max_frame], before anything is
+    allocated. The one frame cutter: sockets, the server loop and the
+    [decode_*_frame] functions all go through it. *)
 
 val decode_request :
   string -> (int * Propagation.context option * request, error) result

@@ -182,7 +182,8 @@ let serve ?(registry = Registry.create ()) ~timeout ~refusal sock session =
       Buffer.clear c.input;
       Buffer.add_string c.input tail;
       if v.replies <> [] then begin
-        c.out <- String.concat "" v.replies;
+        c.out <-
+          (match v.replies with [ r ] -> r | rs -> String.concat "" rs);
         c.deadline <- now +. timeout
       end;
       c.closing <- not v.keep;

@@ -23,12 +23,7 @@ module Enc = struct
 
   let bool t b = Buffer.add_char t (if b then '\001' else '\000')
 
-  let float t f =
-    let bits = Int64.bits_of_float f in
-    for i = 0 to 7 do
-      Buffer.add_char t
-        (Char.chr (Int64.to_int (Int64.shift_right_logical bits (8 * i)) land 0xFF))
-    done
+  let float t f = Buffer.add_int64_le t (Int64.bits_of_float f)
 
   let string t s =
     uint t (String.length s);
@@ -50,6 +45,7 @@ module Enc = struct
 
   let contents = Buffer.contents
   let length = Buffer.length
+  let blit t dst pos = Buffer.blit t 0 dst pos (Buffer.length t)
 end
 
 module Dec = struct
@@ -82,12 +78,16 @@ module Dec = struct
     | 1 -> true
     | b -> raise (Malformed (Printf.sprintf "invalid bool byte %d" b))
 
+  (* A truncated float fails where a byte-at-a-time read would: at the
+     end of the input. *)
   let float t =
-    let bits = ref 0L in
-    for i = 0 to 7 do
-      bits := Int64.logor !bits (Int64.shift_left (Int64.of_int (byte t)) (8 * i))
-    done;
-    Int64.float_of_bits !bits
+    if t.pos + 8 > String.length t.data then begin
+      t.pos <- String.length t.data;
+      raise (Malformed "unexpected end of input")
+    end;
+    let f = Int64.float_of_bits (String.get_int64_le t.data t.pos) in
+    t.pos <- t.pos + 8;
+    f
 
   let string t =
     let n = uint t in

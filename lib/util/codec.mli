@@ -18,7 +18,10 @@ module Enc : sig
   (** Zigzag-encoded signed varint. *)
 
   val bool : t -> bool -> unit
+
   val float : t -> float -> unit
+  (** The IEEE-754 bit pattern, 8 bytes little-endian. *)
+
   val string : t -> string -> unit
   val option : t -> ('a -> unit) -> 'a option -> unit
   (** [option t f v] writes a presence bit then [f] on the payload. *)
@@ -27,6 +30,10 @@ module Enc : sig
   val array : t -> ('a -> unit) -> 'a array -> unit
   val contents : t -> string
   val length : t -> int
+
+  val blit : t -> Bytes.t -> int -> unit
+  (** [blit t dst pos] copies everything encoded so far into [dst] at
+      [pos], without the intermediate string {!contents} makes. *)
 end
 
 (** Decoder: consumes a string left to right. *)
@@ -37,7 +44,12 @@ module Dec : sig
   val uint : t -> int
   val int : t -> int
   val bool : t -> bool
+
   val float : t -> float
+  (** Exact inverse of {!Enc.float}, NaN payloads included. With
+      fewer than 8 bytes left it raises [Malformed] with {!pos} at the
+      end of the input. *)
+
   val string : t -> string
   val option : t -> (t -> 'a) -> 'a option
   val list : t -> (t -> 'a) -> 'a list

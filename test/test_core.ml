@@ -170,6 +170,32 @@ let test_alg2_ordering () =
     [ "network#2"; "network#3"; "network#1" ]
     (List.map (fun r -> Tag.to_string r.Decision.tag) ranked)
 
+let test_alg2_keeps_initial_order () =
+  (* heterogeneous o: accepting file#1 (o = 1000) lifts file#2's
+     marginal far more than network#1's (o = 0.1), so the updated
+     marginals put network#1 first — but candidates are never
+     re-ranked, and the result keeps the initial order *)
+  let p =
+    base_params ~alpha:2.0 ~beta:2.0 ~tau:1.0
+      ~o:[ (Tag_type.File, 1000.0); (Tag_type.Network, 0.1) ]
+      ()
+  in
+  (* initial, at pollution 0: file#1 -1, file#2 -0.25, network#1 -1/9.
+     After file#1, P = 1000 and g = 2 * 1000/10000 = 0.2:
+     file#2 -> -0.25 + 200 (blocked), network#1 -> -1/9 + 0.02. *)
+  let env = env_of [ (file 1, 1); (file 2, 2); (net 1, 3) ] 0.0 in
+  let ranked = Decision.alg2 p env ~space:3 [ net 1; file 2; file 1 ] in
+  Alcotest.(check (list string)) "initial order, not updated order"
+    [ "file#1"; "file#2"; "network#1" ]
+    (List.map (fun r -> Tag.to_string r.Decision.tag) ranked);
+  Alcotest.(check bool) "the updated marginals are out of order" true
+    (match ranked with
+    | [ _; b; c ] -> b.Decision.marginal > c.Decision.marginal
+    | _ -> false);
+  Alcotest.(check bool) "file#2 blocked, network#1 still accepted" true
+    (List.map (fun r -> r.Decision.verdict) ranked
+    = Decision.[ Propagate; Block; Propagate ])
+
 let test_alg2_pollution_recompute_blocks_later () =
   (* Construct a case where accepting the first tag pushes the second
      tag's recomputed marginal above zero. *)
@@ -784,6 +810,8 @@ let () =
           Alcotest.test_case "blocks overpropagated" `Quick test_alg1_blocks_overpropagated;
           Alcotest.test_case "alg2 space" `Quick test_alg2_respects_space;
           Alcotest.test_case "alg2 ordering" `Quick test_alg2_ordering;
+          Alcotest.test_case "alg2 keeps initial order" `Quick
+            test_alg2_keeps_initial_order;
           Alcotest.test_case "alg2 recompute" `Quick test_alg2_pollution_recompute_blocks_later;
           Alcotest.test_case "alg2 degenerate" `Quick test_alg2_empty_and_negative_space;
           Alcotest.test_case "alg2 acceptance criterion" `Quick test_alg2_accepted_have_nonpositive_marginal;

@@ -175,13 +175,18 @@ let check_error name expect got =
       | Bad_kind k -> Printf.sprintf "Bad_kind %d" k
       | Corrupt _ -> "Corrupt"))
 
+let buffer_of s =
+  let b = Buffer.create (String.length s) in
+  Buffer.add_string b s;
+  b
+
 let test_wire_oversized () =
   (* frame announcing 1 GiB, no body: must be rejected from the length
      prefix alone, before any allocation *)
   let e = Mitos_util.Codec.Enc.create () in
   Mitos_util.Codec.Enc.uint e (1 lsl 30);
   let bomb = Mitos_util.Codec.Enc.contents e in
-  (match Wire.unframe bomb ~pos:0 with
+  (match Wire.unframe (buffer_of bomb) ~pos:0 with
   | Error (Wire.Oversized { announced; limit }) ->
     Alcotest.(check int) "announced" (1 lsl 30) announced;
     Alcotest.(check int) "limit" Wire.default_max_frame limit
@@ -192,12 +197,12 @@ let test_wire_oversized () =
     (Wire.decode_request_frame ~max_frame:2 frame);
   (* an unterminated length varint is Corrupt, not an infinite loop *)
   check_error "overlong varint" "Corrupt"
-    (Wire.unframe (String.make 12 '\xff') ~pos:0
+    (Wire.unframe (buffer_of (String.make 12 '\xff')) ~pos:0
      |> Result.map (fun (b, _) -> b))
 
 let test_wire_bad_version () =
   let frame = Wire.encode_request ~id:3 Wire.Ping in
-  match Wire.unframe frame ~pos:0 with
+  match Wire.unframe (buffer_of frame) ~pos:0 with
   | Ok (body, _) ->
     let hacked = Bytes.of_string body in
     Bytes.set hacked 0 '\x63' (* version 99 *);
@@ -215,7 +220,7 @@ let test_wire_trailing_garbage () =
   check_error "bytes after frame" "Corrupt"
     (Wire.decode_request_frame (frame ^ "zz"));
   (* trailing bytes inside the body are a body-level violation *)
-  (match Wire.unframe frame ~pos:0 with
+  (match Wire.unframe (buffer_of frame) ~pos:0 with
   | Ok (body, _) ->
     check_error "bytes after payload" "Corrupt"
       (Wire.decode_request (body ^ "z"))
@@ -399,6 +404,88 @@ let test_loopback_decide_matches_alg2 () =
     outcomes;
   Client.close c
 
+(* The served path against the library: every decide reply must be,
+   bit for bit, what Alg. 2 gives with the lookup-by-tag count the
+   server has always used (first occurrence wins on a repeated tag). *)
+let reference_decide ~global (req : Wire.decide_request) =
+  let count tag =
+    match List.find_opt (fun (t, _) -> Tag.equal t tag) req.candidates with
+    | Some (_, n) -> n
+    | None -> 0
+  in
+  Mitos.Decision.alg2 params
+    { Mitos.Decision.count; pollution = req.pollution +. global }
+    ~space:req.space (List.map fst req.candidates)
+
+let served_matches_reference service batch =
+  let global = Mitos_distrib.Estimator.global (Server.estimator service) in
+  let same (got : Wire.decided) (want : Mitos.Decision.ranked) =
+    Tag.equal got.tag want.tag
+    && Int64.equal
+         (Int64.bits_of_float got.marginal)
+         (Int64.bits_of_float want.marginal)
+    && got.verdict = want.verdict
+  in
+  match
+    Wire.decode_response
+      (Server.handle_body service
+         (Wire.encode_request_body ~id:4 (Wire.Decide batch)))
+  with
+  | Ok (4, Wire.Decisions got) ->
+    List.length got = List.length batch
+    && List.for_all2
+         (fun got req ->
+           let want = reference_decide ~global req in
+           List.length got = List.length want && List.for_all2 same got want)
+         got batch
+  | _ -> false
+
+(* few tags, so repeats are common; counts on both sides of the
+   Cost.Fast table's range; pollution often exactly 0 *)
+let gen_served_request =
+  let table = Mitos.Cost.Fast.default_table_size in
+  QCheck.Gen.(
+    map3
+      (fun space pollution candidates -> { Wire.space; pollution; candidates })
+      (int_bound 4)
+      (oneof [ return 0.0; float_bound_inclusive 1e6 ])
+      (list_size (int_bound 8)
+         (pair
+            (map2 Tag.make (oneofl [ Tag_type.Network; Tag_type.File ])
+               (int_bound 3))
+            (oneof [ int_bound 64; int_range (table - 2) (2 * table) ]))))
+
+let qcheck_served_decide_equals_alg2 =
+  let service = Server.create ~params () in
+  QCheck.Test.make ~name:"served decide = Decision.alg2, bit for bit"
+    ~count:300
+    QCheck.(make Gen.(list_size (int_bound 6) gen_served_request))
+    (served_matches_reference service)
+
+let test_served_decide_edge_cases () =
+  let service = Server.create ~params () in
+  let t i = Tag.make Tag_type.Network i in
+  let table = Mitos.Cost.Fast.default_table_size in
+  let req ?(space = 2) ?(pollution = 50.0) candidates =
+    { Wire.space; pollution; candidates }
+  in
+  List.iter
+    (fun (name, batch) ->
+      Alcotest.(check bool) name true (served_matches_reference service batch))
+    [
+      ("empty batch", []);
+      ("empty candidate list", [ req [] ]);
+      ("duplicate tags", [ req [ (t 1, 5); (t 2, 3); (t 1, 9000) ] ]);
+      ("space 0", [ req ~space:0 [ (t 1, 5); (t 2, 1) ] ]);
+      ("counts beyond the table", [ req [ (t 1, table); (t 2, table + 77) ] ]);
+      ("pollution 0", [ req ~pollution:0.0 [ (t 1, 0); (t 2, 1) ] ]);
+    ];
+  (* and with the estimator's global in play *)
+  Mitos_distrib.Estimator.publish (Server.estimator service) ~node:0 1234.5;
+  Alcotest.(check bool) "nonzero global" true
+    (served_matches_reference service
+       [ req [ (t 1, 5); (t 1, 2); (t 3, 4096) ] ])
+
 let test_malformed_body_gets_err_response () =
   with_server @@ fun service ep ->
   ignore service;
@@ -506,6 +593,109 @@ let test_tcp_service () =
       Alcotest.(check int) "decided" 1 (List.length outcomes);
       Client.close c1;
       Client.close c2)
+
+(* -- The socket frame reader ---------------------------------------------- *)
+
+(* A client connection over a Unix-domain socket, and the raw peer
+   socket that plays the server by writing reply bytes by hand. *)
+let with_frame_peer f =
+  let path =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (fresh_name (Printf.sprintf "mitos-frames-%d" (Unix.getpid ())) ^ ".sock")
+  in
+  (try Unix.unlink path with Unix.Unix_error _ -> ());
+  let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind listener (Unix.ADDR_UNIX path);
+  Unix.listen listener 1;
+  let conn =
+    match Transport.connect ~timeout:5.0 (Transport.Unix_sock path) with
+    | Ok conn -> conn
+    | Error msg -> Alcotest.fail msg
+  in
+  let peer, _ = Unix.accept listener in
+  Fun.protect
+    ~finally:(fun () ->
+      Transport.close conn;
+      Mitos_obs.Netio.close_quietly peer;
+      Mitos_obs.Netio.close_quietly listener;
+      try Unix.unlink path with Unix.Unix_error _ -> ())
+    (fun () -> f conn peer)
+
+(* empty, one- and two-byte length prefixes, and bodies longer than
+   one socket read *)
+let reply_bodies =
+  List.map
+    (fun n -> String.init n (fun i -> Char.chr ((n + i) land 0xFF)))
+    [ 0; 1; 127; 128; 9000; 20000; 3 ]
+
+let recv_all conn n =
+  List.init n (fun _ ->
+      match Transport.recv conn with
+      | Ok body -> body
+      | Error err -> Alcotest.fail (Wire.error_to_string err))
+
+let test_frames_byte_at_a_time () =
+  with_frame_peer @@ fun conn peer ->
+  let bytes = String.concat "" (List.map Wire.frame reply_bodies) in
+  let writer =
+    Domain.spawn (fun () ->
+        String.iteri
+          (fun i _ -> Mitos_obs.Netio.write_all peer (String.sub bytes i 1))
+          bytes)
+  in
+  let got = recv_all conn (List.length reply_bodies) in
+  Domain.join writer;
+  Alcotest.(check (list string)) "whole and in order" reply_bodies got
+
+let test_frames_in_one_write () =
+  with_frame_peer @@ fun conn peer ->
+  let bytes = String.concat "" (List.map Wire.frame reply_bodies) in
+  let writer =
+    Domain.spawn (fun () ->
+        ignore (Unix.write_substring peer bytes 0 (String.length bytes)))
+  in
+  let got = recv_all conn (List.length reply_bodies) in
+  Domain.join writer;
+  Alcotest.(check (list string)) "whole and in order" reply_bodies got
+
+let test_ten_thousand_replies () =
+  with_frame_peer @@ fun conn peer ->
+  let n = 10_000 in
+  let body i = Printf.sprintf "reply %d" i in
+  let frames = Array.init n (fun i -> Wire.frame (body i)) in
+  let writer =
+    Domain.spawn (fun () ->
+        (* seven frames per write: one read can hold several frames
+           and end inside one *)
+        let i = ref 0 in
+        while !i < n do
+          let k = min 7 (n - !i) in
+          Mitos_obs.Netio.write_all peer
+            (String.concat "" (Array.to_list (Array.sub frames !i k)));
+          i := !i + k
+        done)
+  in
+  let got = recv_all conn n in
+  Domain.join writer;
+  List.iteri
+    (fun i b -> if b <> body i then Alcotest.failf "reply %d is %S" i b)
+    got
+
+let test_eof_mid_frame_truncated () =
+  with_frame_peer @@ fun conn peer ->
+  let whole = Wire.frame "first" and cut = Wire.frame "second reply" in
+  (* the whole first frame, then the second's 1-byte prefix and 3 bytes *)
+  Mitos_obs.Netio.write_all peer (whole ^ String.sub cut 0 4);
+  Unix.shutdown peer Unix.SHUTDOWN_SEND;
+  (match Transport.recv conn with
+  | Ok body -> Alcotest.(check string) "first frame" "first" body
+  | Error err -> Alcotest.fail (Wire.error_to_string err));
+  match Transport.recv conn with
+  | Error (Wire.Truncated { offset }) ->
+    Alcotest.(check int) "offset = bytes of the frame held" 4 offset
+  | Ok _ -> Alcotest.fail "a cut frame must not decode"
+  | Error err -> Alcotest.fail (Wire.error_to_string err)
 
 (* -- Adversarial frames mid-stream on an established connection ----------- *)
 
@@ -1385,12 +1575,23 @@ let () =
         [
           Alcotest.test_case "endpoint strings" `Quick test_endpoint_strings;
           Alcotest.test_case "loopback registry" `Quick test_loopback_registry;
+          Alcotest.test_case "frames written a byte at a time" `Quick
+            test_frames_byte_at_a_time;
+          Alcotest.test_case "frames in one write" `Quick
+            test_frames_in_one_write;
+          Alcotest.test_case "10000 replies on one connection" `Quick
+            test_ten_thousand_replies;
+          Alcotest.test_case "EOF mid-frame is Truncated" `Quick
+            test_eof_mid_frame_truncated;
         ] );
       ( "service",
         [
           Alcotest.test_case "loopback service" `Quick test_loopback_service;
           Alcotest.test_case "decide matches alg2" `Quick
             test_loopback_decide_matches_alg2;
+          QCheck_alcotest.to_alcotest qcheck_served_decide_equals_alg2;
+          Alcotest.test_case "served decide edge cases" `Quick
+            test_served_decide_edge_cases;
           Alcotest.test_case "malformed body -> Err" `Quick
             test_malformed_body_gets_err_response;
           Alcotest.test_case "tcp service" `Quick test_tcp_service;

@@ -230,6 +230,42 @@ let test_codec_malformed () =
   Alcotest.(check bool) "trailing bytes raise" true
     (try Codec.Dec.expect_end dec; false with Codec.Malformed _ -> true)
 
+let test_codec_float_bits () =
+  let bits f = Int64.bits_of_float f in
+  List.iter
+    (fun f ->
+      Alcotest.(check int64)
+        (Printf.sprintf "%Lx survives" (bits f))
+        (bits f)
+        (bits (roundtrip Codec.Enc.float Codec.Dec.float f)))
+    [
+      Int64.float_of_bits 0x7FF0_0000_0000_0001L (* signalling NaN payload *);
+      Int64.float_of_bits 0xFFF8_0000_0000_BEEFL (* negative quiet NaN *);
+      0.0; -0.0; infinity; neg_infinity;
+      Int64.float_of_bits 1L (* smallest subnormal *);
+      Int64.float_of_bits 0x000F_FFFF_FFFF_FFFFL (* largest subnormal *);
+      max_float; -.max_float; min_float;
+    ];
+  (* the byte layout itself: IEEE-754 bits, little-endian *)
+  let enc = Codec.Enc.create () in
+  Codec.Enc.float enc 1.0;
+  Alcotest.(check string) "1.0 on the wire" "\000\000\000\000\000\000\240?"
+    (Codec.Enc.contents enc);
+  (* a float cut short anywhere fails at the end of the input, where a
+     byte-at-a-time reader would *)
+  let whole = Codec.Enc.contents enc in
+  for len = 0 to 7 do
+    let prefix = "\001" ^ String.sub whole 0 len in
+    let dec = Codec.Dec.of_string prefix in
+    ignore (Codec.Dec.uint dec);
+    match Codec.Dec.float dec with
+    | _ -> Alcotest.failf "float truncated to %d bytes decoded" len
+    | exception Codec.Malformed _ ->
+      Alcotest.(check int)
+        (Printf.sprintf "pos after %d of 8 bytes" len)
+        (String.length prefix) (Codec.Dec.pos dec)
+  done
+
 let qcheck_codec_int_roundtrip =
   QCheck.Test.make ~name:"codec int roundtrip" ~count:500 QCheck.int (fun n ->
       (* zigzag uses one bit; stay within representable range *)
@@ -626,6 +662,8 @@ let () =
           Alcotest.test_case "float/string/bool" `Quick test_codec_float_string_bool;
           Alcotest.test_case "containers" `Quick test_codec_containers;
           Alcotest.test_case "malformed" `Quick test_codec_malformed;
+          Alcotest.test_case "float bits and truncation" `Quick
+            test_codec_float_bits;
           q qcheck_codec_int_roundtrip;
           q qcheck_codec_string_roundtrip;
         ] );
