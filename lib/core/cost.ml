@@ -60,43 +60,67 @@ module Fast = struct
 
   type t = {
     params : Params.t;
-    under : float array array;  (* [ty][n] = under_submarginal, n < size *)
+    size : int;
+    under : float array array;
+        (* [ty][n] = under_submarginal for n < size; a type's row is
+           allocated on its first lookup and an entry is filled on its
+           first use, with [nan] marking an empty entry *)
     mutable cached_pollution : float;
     mutable cached_g : float;
   }
 
   let default_table_size = 4096
 
+  (* The table is filled on demand: it has [Tag_type.count * size]
+     entries, each a float power, and one policy instance reads few of
+     them. A computed entry is not [nan]: [u > 0] and
+     [alpha > 0] make it finite for n >= 1 (for finite [u]), and it is
+     [neg_infinity] at n = 0. Were one [nan], it would only be
+     recomputed on each read, with the same bits. *)
   let create ?(table_size = default_table_size) (p : Params.t) =
     if table_size < 1 then
       invalid_arg "Cost.Fast.create: table_size must be >= 1";
-    let under =
-      Array.init Tag_type.count (fun tyi ->
-          let ty = Tag_type.of_int tyi in
-          Array.init table_size (fun n ->
-              under_submarginal p ty ~n:(float_of_int n)))
-    in
     (* nan never compares equal to a query, so the first lookup
        populates the cache *)
-    { params = p; under; cached_pollution = nan; cached_g = nan }
+    {
+      params = p;
+      size = table_size;
+      under = Array.make Tag_type.count [||];
+      cached_pollution = nan;
+      cached_g = nan;
+    }
 
   let params t = t.params
 
-  let table_size t = Array.length t.under.(0)
+  let table_size t = t.size
 
   (* [with_tau]-style refreshes (the adaptive controller every few
-     hundred decisions) keep the u/alpha side intact; reuse the table
+     hundred decisions) keep the u/alpha side intact; share the rows
      and only drop the pollution cache. *)
   let update t (p : Params.t) =
     if
       p.Params.alpha = t.params.Params.alpha
       && (p.Params.u == t.params.Params.u || p.Params.u = t.params.Params.u)
     then { t with params = p; cached_pollution = nan; cached_g = nan }
-    else create ~table_size:(table_size t) p
+    else create ~table_size:t.size p
+
+  let under_row t ty ~n =
+    let ti = Tag_type.to_int ty in
+    let row =
+      match Array.unsafe_get t.under ti with
+      | [||] ->
+        let row = Array.make t.size nan in
+        Array.unsafe_set t.under ti row;
+        row
+      | row -> row
+    in
+    if n >= 0 && n < t.size && Float.is_nan (Array.unsafe_get row n) then
+      Array.unsafe_set row n
+        (under_submarginal t.params ty ~n:(float_of_int n));
+    row
 
   let under_submarginal t ty ~n =
-    let row = Array.unsafe_get t.under (Tag_type.to_int ty) in
-    if n >= 0 && n < Array.length row then Array.unsafe_get row n
+    if n >= 0 && n < t.size then Array.unsafe_get (under_row t ty ~n) n
     else under_submarginal t.params ty ~n:(float_of_int n)
 
   let over_factor t ~pollution =

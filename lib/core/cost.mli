@@ -71,7 +71,9 @@ val marginal : Params.t -> Tag_type.t -> n:float -> pollution:float -> float
     - the undertainting submarginal is tabulated per tag type for
       integer copy counts [n ∈ \[0, table_size)] (the engine only ever
       asks about integer counts), falling back to the exact formula
-      beyond the table;
+      beyond the table. The table is filled on demand: a type's row is
+      allocated on that type's first lookup, and each entry is computed
+      on its first use, from the same expression;
     - the overtainting submarginal's power factor
       [g(P) = tau_eff · β · (P/N_R)^(β-1)] is cached keyed on the
       pollution value — within an Alg. 2 pass pollution only changes
@@ -86,7 +88,7 @@ module Fast : sig
 
   val default_table_size : int
   (** 4096 — covers per-tag copy counts far beyond what the
-      benchmarks reach, at ~32 KiB per instance. *)
+      benchmarks reach, at ~32 KiB per tag type looked up. *)
 
   val create : ?table_size:int -> Params.t -> t
 
@@ -96,9 +98,15 @@ module Fast : sig
 
   val update : t -> Params.t -> t
   (** Rebind to new parameters. If the undertainting side is
-      unchanged (same [alpha] and [u]) the table is reused and only
-      the pollution cache is dropped — cheap enough for the adaptive
-      controller's periodic τ updates. *)
+      unchanged (same [alpha] and [u]) the table's rows are shared with
+      [t] and only the pollution cache is dropped — cheap enough for
+      the adaptive controller's periodic τ updates. *)
+
+  val under_row : t -> Mitos_tag.Tag_type.t -> n:int -> float array
+  (** The type's row of the table, with entry [n] filled if
+      [0 <= n < table_size]. Reading that entry gives
+      {!under_submarginal} without boxing the float, for callers that
+      must not allocate (the Alg. 1 fast path). *)
 
   val under_submarginal : t -> Mitos_tag.Tag_type.t -> n:int -> float
   (** Table read for [n] in range; exact formula beyond. Equals

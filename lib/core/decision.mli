@@ -48,14 +48,19 @@ val alg2 : Params.t -> env -> space:int -> Tag.t list -> ranked list
     updated marginals, since an acceptance shifts all of them
     equally; with heterogeneous [o_t] it need not be.
 
-    Each candidate's undertainting half is evaluated once, and the
+    Each candidate's undertainting half is evaluated once (and once
+    more for the audit record, when one is installed), and the
     overtainting power factor up front and once per acceptance: at
     most [k + a + 1] float powers for [k] candidates and [a]
     acceptances, with results bit-identical to evaluating Eq. (8)
-    afresh for every candidate. *)
+    afresh for every candidate. No candidates, or one, are not sorted,
+    and allocate nothing beyond the result. *)
 
 val alg2_accepted : Params.t -> env -> space:int -> Tag.t list -> Tag.t list
 (** Just the tags to propagate, in acceptance order. *)
+
+val accepted : ranked list -> Tag.t list
+(** The [Propagate] entries' tags, in order. *)
 
 val alg2_no_recompute :
   Params.t -> env -> space:int -> Tag.t list -> ranked list
@@ -67,9 +72,11 @@ val alg2_no_recompute :
     The same algorithms over {!Cost.Fast}: no float [**] on the hot
     path, bit-identical marginals and verdicts (property-tested).
     A [fast] value owns an unsynchronized pollution cache — create
-    one per engine/domain; {!Policies.mitos} does this internally. *)
+    one per engine/domain; {!Policies.mitos} does this internally.
+    With the probe and the audit recorder off, {!alg1_fast} and
+    {!alg2_fast} on an empty list allocate nothing. *)
 
-type fast = Cost.Fast.t
+type fast
 
 val fast : ?table_size:int -> Params.t -> fast
 val fast_params : fast -> Params.t

@@ -99,6 +99,8 @@ type t = {
   mutable machine : Machine.t option;
   mutable shadow : Shadow.t option;
   mutable scopes : scope list;
+  mutable scope_union : Tag.t list option;
+      (* the union of the open scopes' tags; [None] once stale *)
   counters : counters;
   mutable record_hooks : (Machine.exec_record -> unit) list;
   mutable watches : (Tag_type.t * Tag_type.t) list;
@@ -124,6 +126,7 @@ let create ?(config = default_config) ~policy ~source_tag prog =
     machine = None;
     shadow = None;
     scopes = [];
+    scope_union = Some [];
     counters = fresh_counters ();
     record_hooks = [];
     watches = [];
@@ -336,17 +339,34 @@ let tags_of_loc shadow = function
   | Loc.Reg r -> Shadow.tags_of_reg shadow r
   | Loc.Mem a -> Shadow.tags_of_addr shadow a
 
+(* The tags of [tags] that are not in [acc], in order. *)
+let[@tail_mod_cons] rec fresh_tags acc = function
+  | [] -> []
+  | tag :: rest ->
+    if Tag.mem tag acc then fresh_tags acc rest
+    else tag :: fresh_tags acc rest
+
+(* [acc] followed by the tags of [tags] it lacks. [tags] must be
+   duplicate-free, as every provenance list is. *)
+let merge_tags acc tags =
+  match fresh_tags acc tags with [] -> acc | fresh -> acc @ fresh
+
 (* Union of source tags, order-preserving (oldest list entries first),
-   deduplicated. *)
-let gather shadow srcs =
-  let seen = ref Tag.Set.empty in
-  List.concat_map (tags_of_loc shadow) srcs
-  |> List.filter (fun tag ->
-         if Tag.Set.mem tag !seen then false
-         else begin
-           seen := Tag.Set.add tag !seen;
-           true
-         end)
+   each tag at its first occurrence. Provenance lists are immutable and
+   duplicate-free, so while only one source is tainted its list is the
+   union and is returned as it is; merging allocates only the merged
+   list. *)
+let rec gather shadow = function
+  | [] -> []
+  | loc :: rest -> (
+    match tags_of_loc shadow loc with
+    | [] -> gather shadow rest
+    | tags -> gather_into shadow tags rest)
+
+and gather_into shadow acc = function
+  | [] -> acc
+  | loc :: rest ->
+    gather_into shadow (merge_tags acc (tags_of_loc shadow loc)) rest
 
 let space_of_loc shadow = function
   | Loc.Reg r -> Shadow.space_left_reg shadow r
@@ -407,37 +427,41 @@ let consult t shadow ~kind ~candidates ~space ~width ~step =
   Policy.select t.policy request
 
 let site_cell t =
-  match Hashtbl.find_opt t.site_profile t.current_pc with
-  | Some cell -> cell
-  | None ->
+  match Hashtbl.find t.site_profile t.current_pc with
+  | cell -> cell
+  | exception Not_found ->
     let cell = (ref 0, ref 0) in
     Hashtbl.add t.site_profile t.current_pc cell;
     cell
 
+let rec count_candidates t ~chosen ~site_prop ~site_block = function
+  | [] -> ()
+  | tag :: rest ->
+    let ti = Tag_type.to_int (Tag.ty tag) in
+    let propagated = Tag.mem tag chosen in
+    if propagated then begin
+      t.counters.ifp_propagated <- t.counters.ifp_propagated + 1;
+      incr site_prop;
+      t.counters.per_type_propagated.(ti) <-
+        t.counters.per_type_propagated.(ti) + 1
+    end
+    else begin
+      t.counters.ifp_blocked <- t.counters.ifp_blocked + 1;
+      incr site_block;
+      t.counters.per_type_blocked.(ti) <- t.counters.per_type_blocked.(ti) + 1
+    end;
+    (match t.instruments with
+    | None -> ()
+    | Some ins ->
+      Mitos_obs.Registry.incr
+        (if propagated then ins.ifp_prop.(ti) else ins.ifp_block.(ti)));
+    count_candidates t ~chosen ~site_prop ~site_block rest
+
+(* The site's cell is looked up even for an empty candidate list, so
+   every consulted pc appears in [site_profile]. *)
 let count_ifp t ~candidates ~chosen =
-  let chosen_set = List.fold_left (fun s x -> Tag.Set.add x s) Tag.Set.empty chosen in
   let site_prop, site_block = site_cell t in
-  List.iter
-    (fun tag ->
-      let ti = Tag_type.to_int (Tag.ty tag) in
-      let propagated = Tag.Set.mem tag chosen_set in
-      if propagated then begin
-        t.counters.ifp_propagated <- t.counters.ifp_propagated + 1;
-        incr site_prop;
-        t.counters.per_type_propagated.(ti) <-
-          t.counters.per_type_propagated.(ti) + 1
-      end
-      else begin
-        t.counters.ifp_blocked <- t.counters.ifp_blocked + 1;
-        incr site_block;
-        t.counters.per_type_blocked.(ti) <- t.counters.per_type_blocked.(ti) + 1
-      end;
-      match t.instruments with
-      | None -> ()
-      | Some ins ->
-        Mitos_obs.Registry.incr
-          (if propagated then ins.ifp_prop.(ti) else ins.ifp_block.(ti)))
-    candidates
+  count_candidates t ~chosen ~site_prop ~site_block candidates
 
 let site_profile t =
   Hashtbl.fold
@@ -455,6 +479,18 @@ let apply_indirect t shadow ~kind ~width ~step candidates dst =
     count_ifp t ~candidates ~chosen;
     union_loc_tags t shadow ~via:(Policy.flow_kind_to_string kind) dst chosen
   end
+
+let rec apply_indirect_all t shadow ~kind ~width ~step candidates = function
+  | [] -> ()
+  | dst :: rest ->
+    apply_indirect t shadow ~kind ~width ~step candidates dst;
+    apply_indirect_all t shadow ~kind ~width ~step candidates rest
+
+let rec set_all t shadow ~via tags = function
+  | [] -> ()
+  | dst :: rest ->
+    set_loc_tags t shadow ~via dst tags;
+    set_all t shadow ~via tags rest
 
 (* Apply a direct flow: replace semantics. *)
 let apply_direct t shadow ~kind ~width ~step srcs dsts =
@@ -474,8 +510,7 @@ let apply_direct t shadow ~kind ~width ~step srcs dsts =
   in
   t.counters.dfp_propagated <-
     t.counters.dfp_propagated + (List.length chosen * List.length dsts);
-  let via = Policy.flow_kind_to_string kind in
-  List.iter (fun dst -> set_loc_tags t shadow ~via dst chosen) dsts
+  set_all t shadow ~via:(Policy.flow_kind_to_string kind) chosen dsts
 
 let width_of_record (r : Machine.exec_record) =
   match (r.mem_read, r.mem_write) with
@@ -484,43 +519,65 @@ let width_of_record (r : Machine.exec_record) =
 
 (* -- Scope management ---------------------------------------------- *)
 
+let rec any_pops ~pc ~step = function
+  | [] -> false
+  | scope :: rest ->
+    scope.end_pc = pc || step >= scope.expires_at_step
+    || any_pops ~pc ~step rest
+
+(* Runs on every record: the scope list is rebuilt only when a scope
+   actually closes. *)
 let pop_scopes t ~pc ~step =
-  t.scopes <-
-    List.filter
-      (fun scope -> scope.end_pc <> pc && step < scope.expires_at_step)
-      t.scopes
+  if any_pops ~pc ~step t.scopes then begin
+    t.scopes <-
+      List.filter
+        (fun scope -> scope.end_pc <> pc && step < scope.expires_at_step)
+        t.scopes;
+    t.scope_union <- None
+  end
 
 let push_scope t ~tags ~end_pc ~expires_at_step =
   if tags <> [] then begin
     t.counters.ctrl_scopes_opened <- t.counters.ctrl_scopes_opened + 1;
-    t.scopes <- { tags; end_pc; expires_at_step } :: t.scopes
+    t.scopes <- { tags; end_pc; expires_at_step } :: t.scopes;
+    t.scope_union <- None
   end
 
-let scope_tags t =
-  match t.scopes with
-  | [] -> []
-  | scopes ->
-    let seen = ref Tag.Set.empty in
-    List.concat_map (fun s -> s.tags) scopes
-    |> List.filter (fun tag ->
-           if Tag.Set.mem tag !seen then false
-           else begin
-             seen := Tag.Set.add tag !seen;
-             true
-           end)
+let rec union_of_scopes acc = function
+  | [] -> acc
+  | scope :: rest -> union_of_scopes (merge_tags acc scope.tags) rest
 
-(* Program-level writes of a record (registers + memory, excluding
-   syscall effects, which carry their own taint semantics). *)
-let program_writes (r : Machine.exec_record) =
-  let regs =
-    match r.reg_write with Some (reg, _) -> [ Loc.Reg reg ] | None -> []
-  in
-  let mems =
-    match r.mem_write with
-    | Some (addr, len) -> Loc.mem_range addr len
-    | None -> []
-  in
-  regs @ mems
+(* The scopes' tags, newest scope first, each tag at its first
+   occurrence; cached until a scope is pushed or popped. A scope's tags
+   come from [gather], so they are duplicate-free. *)
+let scope_tags t =
+  match t.scope_union with
+  | Some tags -> tags
+  | None ->
+    let tags =
+      match t.scopes with
+      | [] -> []
+      | scope :: rest -> union_of_scopes scope.tags rest
+    in
+    t.scope_union <- Some tags;
+    tags
+
+(* Control dependencies: the record's program-level writes (register,
+   then memory; syscall effects carry their own taint semantics)
+   receive the scope tags as indirect flows. *)
+let apply_ctrl t shadow ~width ~step candidates (r : Machine.exec_record) =
+  (match r.reg_write with
+  | Some (reg, _) ->
+    apply_indirect t shadow ~kind:Policy.Ctrl ~width ~step candidates
+      (Loc.Reg reg)
+  | None -> ());
+  match r.mem_write with
+  | Some (addr, len) ->
+    for a = addr to addr + len - 1 do
+      apply_indirect t shadow ~kind:Policy.Ctrl ~width ~step candidates
+        (Loc.Mem a)
+    done
+  | None -> ()
 
 (* -- Sources and sinks --------------------------------------------- *)
 
@@ -634,10 +691,7 @@ let apply_event t shadow ~width ~step (event : Extract.event) =
   | Extract.Addr_dep { addr_srcs; dsts } ->
     let candidates = gather shadow addr_srcs in
     if candidates <> [] then
-      List.iter
-        (fun dst ->
-          apply_indirect t shadow ~kind:Policy.Addr ~width ~step candidates
-            dst)
+      apply_indirect_all t shadow ~kind:Policy.Addr ~width ~step candidates
         dsts
   | Extract.Branch_point { cond_srcs; scope_end; taken = _ } ->
     if t.config.track_ctrl then begin
@@ -661,6 +715,18 @@ let apply_event t shadow ~width ~step (event : Extract.event) =
     Shadow.clear_reg shadow r;
     t.counters.shadow_ops <- t.counters.shadow_ops + 1
 
+let rec apply_events t shadow ~width ~step = function
+  | [] -> ()
+  | event :: rest ->
+    apply_event t shadow ~width ~step event;
+    apply_events t shadow ~width ~step rest
+
+let rec run_hooks r = function
+  | [] -> ()
+  | f :: rest ->
+    f r;
+    run_hooks r rest
+
 let process_record_inner t (r : Machine.exec_record) =
   let shadow = the_shadow t in
   let step = r.step in
@@ -668,21 +734,13 @@ let process_record_inner t (r : Machine.exec_record) =
   t.current_pc <- r.pc;
   pop_scopes t ~pc:r.pc ~step;
   let width = width_of_record r in
-  let events = Extract.events_of_record t.extract r in
-  List.iter (apply_event t shadow ~width ~step) events;
-  (* Control dependencies: writes under open scopes receive the scope
-     tags as indirect flows. *)
+  apply_events t shadow ~width ~step (Extract.events_of_record t.extract r);
   if t.config.track_ctrl && t.scopes <> [] then begin
     let candidates = scope_tags t in
-    if candidates <> [] then
-      List.iter
-        (fun dst ->
-          apply_indirect t shadow ~kind:Policy.Ctrl
-            ~width:(width_of_record r) ~step candidates dst)
-        (program_writes r)
+    if candidates <> [] then apply_ctrl t shadow ~width ~step candidates r
   end;
   t.counters.steps <- t.counters.steps + 1;
-  List.iter (fun f -> f r) t.record_hooks
+  run_hooks r t.record_hooks
 
 let process_record t r =
   match t.instruments with

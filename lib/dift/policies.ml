@@ -107,12 +107,7 @@ let mitos ?(name = "mitos") ?pollution_source ?observe ?(handle_direct = false)
                 propagated = r.Mitos.Decision.verdict = Mitos.Decision.Propagate;
               })
           ranked);
-      List.filter_map
-        (fun (r : Mitos.Decision.ranked) ->
-          match r.Mitos.Decision.verdict with
-          | Mitos.Decision.Propagate -> Some r.Mitos.Decision.tag
-          | Mitos.Decision.Block -> None)
-        ranked
+      Mitos.Decision.accepted ranked
     end
   in
   Policy.make ~name ~select

@@ -29,24 +29,65 @@ let sys_events effects =
       | Machine.Sys_halt -> [])
     effects
 
+(* -- shared register-only events --------------------------------------
+
+   A register-only record's events are a pure function of its register
+   numbers, and neither the engine nor any other consumer mutates an
+   event. So the locations, source lists and whole event lists of these
+   records are built once, here, and shared: most records of a trace
+   then allocate nothing. Register numbers outside the machine's file
+   (which no validated program produces) fall back to fresh values. *)
+
+let num_regs = Instr.num_regs
+let in_file r = r >= 0 && r < num_regs
+
+(* [build r], from [table] when [r] is in the register file *)
+let by_reg table build r =
+  if in_file r then Array.unsafe_get table r else build r
+
+(* [build a b], from [table] (indexed [a * num_regs + b]) when both
+   registers are in the file *)
+let by_pair table build a b =
+  if in_file a && in_file b then Array.unsafe_get table ((a * num_regs) + b)
+  else build a b
+
+let reg_table build = Array.init num_regs build
+
+let pair_table build =
+  Array.init (num_regs * num_regs) (fun i ->
+      build (i / num_regs) (i mod num_regs))
+
+let make_one r = [ Loc.Reg r ]
+let ones = reg_table make_one
+let one r = by_reg ones make_one r
+let make_pair a b = [ Loc.Reg a; Loc.Reg b ]
+let pairs = pair_table make_pair
+let make_li rd = [ Copy { srcs = []; dsts = one rd } ]
+let li_events = reg_table make_li
+let make_mov rd rs = [ Copy { srcs = one rs; dsts = one rd } ]
+let mov_events = pair_table make_mov
+let make_bini rd rs = [ Compute { srcs = one rs; dsts = one rd } ]
+let bini_events = pair_table make_bini
+let make_jr rs = [ Indirect_jump { target_srcs = one rs } ]
+let jr_events = reg_table make_jr
+
 let events_of_record t (r : Machine.exec_record) =
   match r.instr with
-  | Instr.Li (rd, _) -> [ Copy { srcs = []; dsts = [ Loc.Reg rd ] } ]
-  | Instr.Mov (rd, rs) ->
-    [ Copy { srcs = [ Loc.Reg rs ]; dsts = [ Loc.Reg rd ] } ]
+  | Instr.Li (rd, _) -> by_reg li_events make_li rd
+  | Instr.Mov (rd, rs) -> by_pair mov_events make_mov rd rs
   | Instr.Bin (_, rd, rs1, rs2) ->
-    [ Compute { srcs = [ Loc.Reg rs1; Loc.Reg rs2 ]; dsts = [ Loc.Reg rd ] } ]
-  | Instr.Bini (_, rd, rs, _) ->
-    [ Compute { srcs = [ Loc.Reg rs ]; dsts = [ Loc.Reg rd ] } ]
+    [ Compute { srcs = by_pair pairs make_pair rs1 rs2; dsts = one rd } ]
+  | Instr.Bini (_, rd, rs, _) -> by_pair bini_events make_bini rd rs
   | Instr.Load (_, rd, rb, _) ->
     let addr, len =
       match r.mem_read with
       | Some al -> al
       | None -> assert false (* loads always read memory *)
     in
+    let dsts = one rd in
     [
-      Copy { srcs = Loc.mem_range addr len; dsts = [ Loc.Reg rd ] };
-      Addr_dep { addr_srcs = [ Loc.Reg rb ]; dsts = [ Loc.Reg rd ] };
+      Copy { srcs = Loc.mem_range addr len; dsts };
+      Addr_dep { addr_srcs = one rb; dsts };
     ]
   | Instr.Store (_, rs, rb, _) ->
     let addr, len =
@@ -55,21 +96,18 @@ let events_of_record t (r : Machine.exec_record) =
       | None -> assert false (* stores always write memory *)
     in
     let dsts = Loc.mem_range addr len in
-    [
-      Copy { srcs = [ Loc.Reg rs ]; dsts };
-      Addr_dep { addr_srcs = [ Loc.Reg rb ]; dsts };
-    ]
+    [ Copy { srcs = one rs; dsts }; Addr_dep { addr_srcs = one rb; dsts } ]
   | Instr.Branch (_, rs1, rs2, _) ->
     let taken = match r.taken with Some b -> b | None -> assert false in
     [
       Branch_point
         {
-          cond_srcs = [ Loc.Reg rs1; Loc.Reg rs2 ];
+          cond_srcs = by_pair pairs make_pair rs1 rs2;
           scope_end = Postdom.scope_end t.postdom r.pc;
           taken;
         };
     ]
-  | Instr.Jr rs -> [ Indirect_jump { target_srcs = [ Loc.Reg rs ] } ]
+  | Instr.Jr rs -> by_reg jr_events make_jr rs
   | Instr.Syscall _ -> sys_events r.sys_effects
   | Instr.Jmp _ | Instr.Nop | Instr.Halt -> []
 

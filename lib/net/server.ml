@@ -110,16 +110,37 @@ let obs t = t.obs
 
 (* -- request semantics -------------------------------------------------- *)
 
+(* Up to this many candidates, a count is found by scanning the request,
+   which allocates nothing; above it, through a table built once per
+   request. A scan per candidate would make one request cost O(k^2) in
+   its k candidates, and one frame can carry hundreds of thousands. *)
+let scan_limit = 16
+
+let rec scan_count tag = function
+  | [] -> 0
+  | (c, n) :: rest ->
+    if Mitos_tag.Tag.equal c tag then n else scan_count tag rest
+
 (* Each candidate's count is looked up once, by tag, so a tag listed
    twice takes the count of its first occurrence. *)
+let count_of (req : Wire.decide_request) =
+  if List.compare_length_with req.candidates scan_limit <= 0 then fun tag ->
+    scan_count tag req.candidates
+  else begin
+    let table = Mitos_tag.Tag.Table.create (2 * scan_limit) in
+    List.iter
+      (fun (tag, n) ->
+        if not (Mitos_tag.Tag.Table.mem table tag) then
+          Mitos_tag.Tag.Table.add table tag n)
+      req.candidates;
+    fun tag ->
+      match Mitos_tag.Tag.Table.find table tag with
+      | n -> n
+      | exception Not_found -> 0
+  end
+
 let decide_one t (req : Wire.decide_request) =
-  let count tag =
-    match
-      List.find_opt (fun (c, _) -> Mitos_tag.Tag.equal c tag) req.candidates
-    with
-    | Some (_, n) -> n
-    | None -> 0
-  in
+  let count = count_of req in
   let env =
     { Mitos.Decision.count; pollution = req.pollution +. Estimator.global t.est }
   in

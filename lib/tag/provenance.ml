@@ -25,7 +25,7 @@ let cardinal t = t.card
 let space_left t = t.cap - t.card
 let is_empty t = t.card = 0
 let is_full t = t.card >= t.cap
-let mem t tag = List.exists (Tag.equal tag) t.tags
+let mem t tag = Tag.mem tag t.tags
 
 type add_result =
   | Added

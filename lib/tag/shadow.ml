@@ -39,13 +39,18 @@ module Store = struct
 
   let table tables addr = tables.(shard_of_addr (Array.length tables) addr)
 
+  (* Raises [Not_found] rather than returning an option: every shadow
+     read goes through here, and [find_opt] boxes each hit. *)
   let find t addr =
     match t with
-    | Hash tables -> Hashtbl.find_opt (table tables addr) addr
+    | Hash tables -> Hashtbl.find (table tables addr) addr
     | Pages pages -> (
       match pages.(addr lsr page_bits) with
-      | None -> None
-      | Some page -> page.(addr land (page_size - 1)))
+      | None -> raise Not_found
+      | Some page -> (
+        match page.(addr land (page_size - 1)) with
+        | Some prov -> prov
+        | None -> raise Not_found))
 
   let add t addr prov =
     match t with
@@ -201,8 +206,8 @@ let check_addr t addr =
 let prov_of_addr t addr =
   check_addr t addr;
   match Store.find t.mem addr with
-  | Some p -> p
-  | None ->
+  | p -> p
+  | exception Not_found ->
     let p = Provenance.create ~eviction:t.list_eviction t.m_prov in
     Store.add t.mem addr p;
     p
@@ -210,10 +215,17 @@ let prov_of_addr t addr =
 let drop_if_empty t addr p =
   if Provenance.is_empty p then Store.remove t.mem addr
 
+(* Inside this module a location is one int, so the write paths
+   allocate no [at] value: an address is itself, and register [r] is
+   [-1 - r]. The variant is built only when an eviction is reported. *)
+let reg_at r = -1 - r
+
 let fire_evict t ~at ~victim ~incoming =
   match t.evict_hook with
   | None -> ()
-  | Some hook -> hook { at; victim; incoming }
+  | Some hook ->
+    let at = if at >= 0 then `Mem at else `Reg (-1 - at) in
+    hook { at; victim; incoming }
 
 let account t ~at (result : Provenance.add_result) tag =
   (match result with
@@ -254,28 +266,41 @@ let add_with_strategy t ~at p tag =
     else account t ~at (Provenance.add p tag) tag
 
 let add_tag_addr t addr tag =
-  add_with_strategy t ~at:(`Mem addr) (prov_of_addr t addr) tag
+  add_with_strategy t ~at:addr (prov_of_addr t addr) tag
 
-let add_tag_reg t r tag = add_with_strategy t ~at:(`Reg r) t.regs.(r) tag
+let add_tag_reg t r tag = add_with_strategy t ~at:(reg_at r) t.regs.(r) tag
 
 let remove_tag_addr t addr tag =
   check_addr t addr;
   match Store.find t.mem addr with
-  | None -> false
-  | Some p ->
+  | exception Not_found -> false
+  | p ->
     let removed = Provenance.remove p tag in
     if removed then Tag_stats.decr t.stats tag;
     drop_if_empty t addr p;
     removed
 
-let clear_prov t p =
-  List.iter (Tag_stats.decr t.stats) (Provenance.clear p)
+(* The set, union and clear loops are plain recursion, not [List.iter]
+   over a closure: they run for every location a flow writes. *)
+let rec decr_all stats = function
+  | [] -> ()
+  | tag :: rest ->
+    Tag_stats.decr stats tag;
+    decr_all stats rest
+
+let rec add_all t ~at p = function
+  | [] -> ()
+  | tag :: rest ->
+    ignore (add_with_strategy t ~at p tag);
+    add_all t ~at p rest
+
+let clear_prov t p = decr_all t.stats (Provenance.clear p)
 
 let clear_addr t addr =
   check_addr t addr;
   match Store.find t.mem addr with
-  | None -> ()
-  | Some p ->
+  | exception Not_found -> ()
+  | p ->
     clear_prov t p;
     Store.remove t.mem addr
 
@@ -284,47 +309,42 @@ let clear_reg t r = clear_prov t t.regs.(r)
 let tags_of_addr t addr =
   check_addr t addr;
   match Store.find t.mem addr with
-  | None -> []
-  | Some p -> Provenance.to_list p
+  | exception Not_found -> []
+  | p -> Provenance.to_list p
 
 let tags_of_reg t r = Provenance.to_list t.regs.(r)
 
 let set_prov_tags t ~at p tags =
   clear_prov t p;
-  List.iter (fun tag -> ignore (add_with_strategy t ~at p tag)) tags
+  add_all t ~at p tags
 
 let set_addr_tags t addr tags =
   match tags with
   | [] -> clear_addr t addr
-  | _ -> set_prov_tags t ~at:(`Mem addr) (prov_of_addr t addr) tags
+  | _ -> set_prov_tags t ~at:addr (prov_of_addr t addr) tags
 
-let set_reg_tags t r tags = set_prov_tags t ~at:(`Reg r) t.regs.(r) tags
+let set_reg_tags t r tags = set_prov_tags t ~at:(reg_at r) t.regs.(r) tags
 
 let union_into_addr t addr tags =
   match tags with
   | [] -> ()
-  | _ ->
-    let p = prov_of_addr t addr in
-    List.iter (fun tag -> ignore (add_with_strategy t ~at:(`Mem addr) p tag)) tags
+  | _ -> add_all t ~at:addr (prov_of_addr t addr) tags
 
-let union_into_reg t r tags =
-  List.iter
-    (fun tag -> ignore (add_with_strategy t ~at:(`Reg r) t.regs.(r) tag))
-    tags
+let union_into_reg t r tags = add_all t ~at:(reg_at r) t.regs.(r) tags
 
 let space_left_addr t addr =
   check_addr t addr;
   match Store.find t.mem addr with
-  | None -> t.m_prov
-  | Some p -> Provenance.space_left p
+  | exception Not_found -> t.m_prov
+  | p -> Provenance.space_left p
 
 let space_left_reg t r = Provenance.space_left t.regs.(r)
 
 let is_tainted_addr t addr =
   check_addr t addr;
   match Store.find t.mem addr with
-  | None -> false
-  | Some p -> not (Provenance.is_empty p)
+  | exception Not_found -> false
+  | p -> not (Provenance.is_empty p)
 
 let is_tainted_reg t r = not (Provenance.is_empty t.regs.(r))
 

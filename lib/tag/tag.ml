@@ -5,6 +5,10 @@ let ty t = t.ty
 let id t = t.id
 let equal a b = Tag_type.equal a.ty b.ty && a.id = b.id
 
+let rec mem tag = function
+  | [] -> false
+  | x :: rest -> equal x tag || mem tag rest
+
 let compare a b =
   match Tag_type.compare a.ty b.ty with 0 -> Int.compare a.id b.id | c -> c
 

@@ -11,6 +11,11 @@ val make : Tag_type.t -> int -> t
 val ty : t -> Tag_type.t
 val id : t -> int
 val equal : t -> t -> bool
+
+val mem : t -> t list -> bool
+(** [mem tag tags]: whether [tags] holds a tag {!equal} to [tag]. A
+    plain scan that allocates nothing, for the per-record paths. *)
+
 val compare : t -> t -> int
 val hash : t -> int
 val pp : Format.formatter -> t -> unit

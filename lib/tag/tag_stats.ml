@@ -13,10 +13,13 @@ let create () =
     total = 0;
   }
 
+(* Lookups go through [find] and [Not_found], not [find_opt]: these
+   run for every tag a flow writes or a decision reads, and [find_opt]
+   would box each hit. *)
 let cell t tag =
-  match Tag.Table.find_opt t.counts tag with
-  | Some r -> r
-  | None ->
+  match Tag.Table.find t.counts tag with
+  | r -> r
+  | exception Not_found ->
     let r = ref 0 in
     Tag.Table.add t.counts tag r;
     r
@@ -32,13 +35,16 @@ let incr t tag =
   t.per_type_total.(ti) <- t.per_type_total.(ti) + 1;
   t.total <- t.total + 1
 
+let underflow tag =
+  invalid_arg
+    (Printf.sprintf "Tag_stats.decr: count of %s already zero"
+       (Tag.to_string tag))
+
 let decr t tag =
-  match Tag.Table.find_opt t.counts tag with
-  | None | Some { contents = 0 } ->
-    invalid_arg
-      (Printf.sprintf "Tag_stats.decr: count of %s already zero"
-         (Tag.to_string tag))
-  | Some r ->
+  match Tag.Table.find t.counts tag with
+  | exception Not_found -> underflow tag
+  | { contents = 0 } -> underflow tag
+  | r ->
     Stdlib.decr r;
     let ti = Tag_type.to_int (Tag.ty tag) in
     t.per_type_total.(ti) <- t.per_type_total.(ti) - 1;
@@ -46,20 +52,20 @@ let decr t tag =
     if !r = 0 then t.per_type_distinct.(ti) <- t.per_type_distinct.(ti) - 1
 
 let count t tag =
-  match Tag.Table.find_opt t.counts tag with Some r -> !r | None -> 0
+  match Tag.Table.find t.counts tag with r -> !r | exception Not_found -> 0
 
 let total t = t.total
 let per_type t ty = t.per_type_total.(Tag_type.to_int ty)
 let distinct t = Array.fold_left ( + ) 0 t.per_type_distinct
 let distinct_of_type t ty = t.per_type_distinct.(Tag_type.to_int ty)
 
+(* Summed in [Tag_type.to_int] order, which is [Tag_type.all]'s. *)
 let weighted_total t o =
   let acc = ref 0.0 in
-  List.iter
-    (fun ty ->
-      let n = per_type t ty in
-      if n > 0 then acc := !acc +. (o ty *. float_of_int n))
-    Tag_type.all;
+  for i = 0 to Tag_type.count - 1 do
+    let n = t.per_type_total.(i) in
+    if n > 0 then acc := !acc +. (o (Tag_type.of_int i) *. float_of_int n)
+  done;
   !acc
 
 let fold t ~init ~f =

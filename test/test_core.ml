@@ -624,6 +624,35 @@ let qcheck_fast_alg_equals_direct =
            (Decision.alg2_accepted p env ~space tags)
            (Decision.alg2_fast_accepted fast env ~space tags))
 
+(* The table is filled on demand: a row on its type's first lookup, an
+   entry on its first use. Every entry must come out with the direct
+   formula's bits whether it is read fresh, re-read once filled, or read
+   through a table [update] shares. *)
+let qcheck_fast_fill_equals_direct =
+  QCheck.Test.make ~name:"Cost.Fast on-demand fill = Cost.marginal (bit-exact)"
+    ~count:300
+    QCheck.(
+      make
+        Gen.(
+          quad fast_params_gen random_ty (int_range 1 64)
+            (pair (float_range 0.0 2000.0) (float_range 0.0 2.0))))
+    (fun (p, ty, size, (pollution, tau)) ->
+      let agrees p f n =
+        Int64.equal
+          (Int64.bits_of_float (Cost.marginal p ty ~n:(float_of_int n) ~pollution))
+          (Int64.bits_of_float (Cost.Fast.marginal f ty ~n ~pollution))
+      in
+      let edges = [ 0; 1; size - 1; size ] in
+      let fresh () = Cost.Fast.create ~table_size:size p in
+      let filled = fresh () in
+      let p2 = Params.with_tau p tau in
+      let shared = Cost.Fast.update filled p2 in
+      List.for_all (fun n -> agrees p (fresh ()) n) edges
+      && List.for_all (agrees p filled) edges
+      && List.for_all (agrees p filled) edges
+      && List.for_all (agrees p2 shared) (size / 2 :: edges)
+      && List.for_all (agrees p filled) (size / 2 :: edges))
+
 let test_fast_table_fallback_boundary () =
   (* exact agreement on both sides of the table edge *)
   let p = base_params ~alpha:1.5 ~tau:0.7 () in
@@ -655,6 +684,40 @@ let test_fast_update_reuses_or_rebuilds () =
     (Decision.marginal_fast fast3 (env 3 50.0) (file 1));
   Alcotest.(check bool) "fast_params tracks" true
     (Params.equal p3 (Decision.fast_params fast3))
+
+(* -- allocation on the fast path ------------------------------------------ *)
+
+(* Minor-heap words allocated by [n] calls of [f]. Differencing against
+   [n = 0] cancels the measurement's own allocation, so what is left is
+   [f]'s. *)
+let words_for n f =
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  Gc.minor_words () -. w0
+
+let check_allocation_free name f =
+  Decision.set_obs None;
+  Decision.set_audit None;
+  (* the first call fills the table entry and the pollution cache *)
+  f ();
+  let idle = words_for 0 f in
+  Alcotest.(check (float 0.0)) name 0.0 (words_for 10_000 f -. idle)
+
+let test_alg1_fast_allocates_nothing () =
+  let p = base_params ~tau:0.5 () in
+  let fast = Decision.fast p in
+  let env = { Decision.count = (fun _ -> 3); pollution = 120.0 } in
+  let tag = net 7 in
+  check_allocation_free "alg1_fast: words for 10000 decisions" (fun () ->
+      ignore (Decision.alg1_fast fast env tag))
+
+let test_alg2_fast_empty_allocates_nothing () =
+  let fast = Decision.fast (base_params ()) in
+  let env = { Decision.count = (fun _ -> 0); pollution = 10.0 } in
+  check_allocation_free "alg2_fast []: words for 10000 decisions" (fun () ->
+      ignore (Decision.alg2_fast fast env ~space:4 []))
 
 (* -- Analysis ----------------------------------------------------------------------- *)
 
@@ -826,10 +889,15 @@ let () =
         [
           q qcheck_fast_marginal_equals_direct;
           q qcheck_fast_alg_equals_direct;
+          q qcheck_fast_fill_equals_direct;
           Alcotest.test_case "table fallback boundary" `Quick
             test_fast_table_fallback_boundary;
           Alcotest.test_case "fast_update" `Quick
             test_fast_update_reuses_or_rebuilds;
+          Alcotest.test_case "alg1_fast allocates nothing" `Quick
+            test_alg1_fast_allocates_nothing;
+          Alcotest.test_case "alg2_fast on [] allocates nothing" `Quick
+            test_alg2_fast_empty_allocates_nothing;
         ] );
       ( "solver",
         [

@@ -215,6 +215,130 @@ let test_ijump_scope_expires () =
   Alcotest.(check (list string)) "write beyond ttl is clean" []
     (List.map Tag.to_string (tags_at engine 601))
 
+(* -- tag gathering and the scope union, record by record --------------- *)
+
+(* An engine on a replay shadow, fed hand-made records; the policy
+   keeps every request it sees and propagates everything. *)
+let record ~step ~pc ?reg_write ?mem_read ?taken instr =
+  {
+    Machine.step;
+    pc;
+    instr;
+    reg_reads = [];
+    reg_write;
+    mem_read;
+    mem_write = None;
+    taken;
+    next_pc = pc + 1;
+    sys_effects = [];
+  }
+
+let logging_engine ?(config = Engine.default_config) code =
+  let seen = ref [] in
+  let policy =
+    Policy.make ~name:"log" ~select:(fun (req : Policy.request) ->
+        seen := req :: !seen;
+        req.candidates)
+  in
+  let engine =
+    Engine.create ~config ~policy ~source_tag
+      (Program.make (Array.of_list code))
+  in
+  Engine.attach_shadow engine ~mem_size:4096;
+  (engine, seen)
+
+let names tags = List.map Tag.to_string tags
+
+let test_gather_order () =
+  let config =
+    { Engine.default_config with route_direct_through_policy = true }
+  in
+  let engine, seen = logging_engine ~config [ Instr.Halt ] in
+  let shadow = Engine.shadow engine in
+  (* overlapping lists over the four bytes a word load reads *)
+  Shadow.set_addr_tags shadow 100 [ net 1; net 2 ];
+  Shadow.set_addr_tags shadow 101 [ net 2; net 3 ];
+  Shadow.set_addr_tags shadow 103 [ net 3; net 1; net 4 ];
+  Engine.process_record engine
+    (record ~step:0 ~pc:0 ~reg_write:(5, 0) ~mem_read:(100, 4)
+       (Instr.Load (Instr.W32, 5, 4, 0)));
+  let want = [ "network#1"; "network#2"; "network#3"; "network#4" ] in
+  (match List.rev !seen with
+  | copy :: _ ->
+    Alcotest.(check (list string)) "oldest first, first occurrence wins" want
+      (names copy.Policy.candidates)
+  | [] -> Alcotest.fail "policy not consulted");
+  Alcotest.(check (list string)) "destination gets the union" want
+    (names (Shadow.tags_of_reg shadow 5));
+  (* two registers: the second contributes only what the first lacks *)
+  Shadow.set_reg_tags shadow 1 [ net 5; net 1 ];
+  Shadow.set_reg_tags shadow 2 [ net 1; net 6 ];
+  seen := [];
+  Engine.process_record engine
+    (record ~step:1 ~pc:0 ~reg_write:(7, 0) (Instr.Bin (Instr.Add, 7, 1, 2)));
+  Alcotest.(check (list string)) "register sources merged"
+    [ "network#5"; "network#1"; "network#6" ]
+    (names (Shadow.tags_of_reg shadow 7));
+  (* one tainted source: its list is the union and is passed on as is *)
+  seen := [];
+  Engine.process_record engine
+    (record ~step:2 ~pc:0 ~reg_write:(8, 0) (Instr.Bin (Instr.Add, 8, 3, 1)));
+  match !seen with
+  | [ req ] ->
+    Alcotest.(check bool) "lone tainted source not copied" true
+      (req.Policy.candidates == Shadow.tags_of_reg shadow 1)
+  | _ -> Alcotest.fail "expected one consultation"
+
+let test_scope_union_cache () =
+  let engine, seen =
+    logging_engine
+      ~config:{ Engine.default_config with ijump_scope_len = 2 }
+      [
+        (* 0 *) Instr.Branch (Instr.Eq, 1, 2, 3);
+        (* 1 *) Instr.Branch (Instr.Eq, 3, 4, 2);
+        (* 2 *) Instr.Nop;
+        (* 3 *) Instr.Nop;
+        (* 4 *) Instr.Nop;
+        (* 5 *) Instr.Halt;
+      ]
+  in
+  let shadow = Engine.shadow engine in
+  Shadow.set_reg_tags shadow 1 [ net 1 ];
+  Shadow.set_reg_tags shadow 2 [ net 2 ];
+  Shadow.set_reg_tags shadow 3 [ net 2; net 3 ];
+  Shadow.set_reg_tags shadow 6 [ net 4 ];
+  (* the candidates of the control flow into r9 at this record, if any *)
+  let ctrl_at ~step ~pc =
+    seen := [];
+    Engine.process_record engine
+      (record ~step ~pc ~reg_write:(9, 0) (Instr.Li (9, 0)));
+    List.concat_map
+      (fun (req : Policy.request) ->
+        if req.kind = Policy.Ctrl then names req.candidates else [])
+      !seen
+  in
+  let branch ~step ~pc rs1 rs2 =
+    Engine.process_record engine
+      (record ~step ~pc ~taken:true (Instr.Branch (Instr.Eq, rs1, rs2, 0)))
+  in
+  branch ~step:0 ~pc:0 1 2;
+  Alcotest.(check (list string)) "after a push" [ "network#1"; "network#2" ]
+    (ctrl_at ~step:1 ~pc:5);
+  branch ~step:2 ~pc:1 3 4;
+  Alcotest.(check (list string)) "after a second push, newest scope first"
+    [ "network#2"; "network#3"; "network#1" ]
+    (ctrl_at ~step:3 ~pc:5);
+  Alcotest.(check (list string)) "after a pop at end_pc"
+    [ "network#1"; "network#2" ] (ctrl_at ~step:4 ~pc:2);
+  Engine.process_record engine (record ~step:5 ~pc:4 (Instr.Jr 6));
+  Alcotest.(check (list string)) "after an ijump push"
+    [ "network#4"; "network#1"; "network#2" ]
+    (ctrl_at ~step:6 ~pc:5);
+  Alcotest.(check (list string)) "after the ijump scope expires"
+    [ "network#1"; "network#2" ] (ctrl_at ~step:7 ~pc:5);
+  Alcotest.(check (list string)) "after the last pop" [] (ctrl_at ~step:8 ~pc:3);
+  Alcotest.(check int) "no scope left" 0 (Engine.active_scopes engine)
+
 (* -- sources / sinks ------------------------------------------------------- *)
 
 let test_source_union_and_detection () =
@@ -615,6 +739,7 @@ let () =
           Alcotest.test_case "copy chain" `Quick test_direct_copy_chain;
           Alcotest.test_case "overwrite clears" `Quick test_untainted_overwrite_clears;
           Alcotest.test_case "compute unions" `Quick test_compute_unions_tags;
+          Alcotest.test_case "gather order" `Quick test_gather_order;
         ] );
       ( "addr-dep",
         [
@@ -628,6 +753,7 @@ let () =
           Alcotest.test_case "disabled" `Quick test_ctrl_dep_disabled;
           Alcotest.test_case "clean branch" `Quick test_untainted_branch_opens_no_scope;
           Alcotest.test_case "ijump ttl" `Quick test_ijump_scope_expires;
+          Alcotest.test_case "scope union cache" `Quick test_scope_union_cache;
         ] );
       ( "sources",
         [

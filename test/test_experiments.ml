@@ -161,6 +161,79 @@ let test_table2_goldens () =
   Alcotest.(check bool) "detection improves >2x" true
     (result.E.Table2.detection_improvement > 2.0)
 
+(* The Table II replay state, pinned: each workload at seed 3 is
+   recorded, serialized, re-loaded and replayed under the Table II MITOS
+   configuration (Alg. 2 on every flow), as the replay benchmark does.
+   The digest covers the engine's counters, the whole shadow
+   ([Shadow.to_string]), the live tag counts and the per-site profile,
+   so any drift in the record path's semantics shows here even where
+   the headline goldens do not move. *)
+let replay_state_digest engine =
+  let module Engine = Mitos_dift.Engine in
+  let c = Engine.counters engine in
+  let b = Buffer.create 65536 in
+  let int n =
+    Buffer.add_string b (string_of_int n);
+    Buffer.add_char b ' '
+  in
+  List.iter int
+    [
+      c.steps; c.direct_events; c.indirect_events; c.dfp_propagated;
+      c.ifp_propagated; c.ifp_blocked; c.ctrl_scopes_opened; c.source_bytes;
+      c.sink_tainted_bytes; c.shadow_ops; c.evictions;
+    ];
+  Array.iter int c.per_type_propagated;
+  Array.iter int c.per_type_blocked;
+  Buffer.add_string b (Mitos_tag.Shadow.to_string (Engine.shadow engine));
+  List.iter
+    (fun (tag, n) ->
+      Buffer.add_string b (Mitos_tag.Tag.to_string tag);
+      int n)
+    (Mitos_tag.Tag_stats.snapshot (Engine.stats engine));
+  List.iter
+    (fun (pc, p, bl) ->
+      int pc;
+      int p;
+      int bl)
+    (Engine.site_profile engine);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let table2_replay_digest built =
+  let module Trace = Mitos_replay.Trace in
+  let trace = Trace.of_string (Trace.to_string (W.Workload.record built)) in
+  let engine =
+    W.Workload.replay_engine ~config:E.Calib.attack_engine_config
+      ~policy:(E.Calib.mitos_all_flows E.Calib.attack_params) built trace
+  in
+  Array.iter (Mitos_dift.Engine.process_record engine) (Trace.records trace);
+  replay_state_digest engine
+
+let test_table2_replay_pinned () =
+  let seed = 3 in
+  let pinned =
+    [
+      ("reverse_tcp", "15f3d78a93ba488660062b0b57daa1a9");
+      ("reverse_tcp_rc4", "839e2c618ab1820f4592c4a071d0dddc");
+      ("reverse_tcp_rc4_dns", "a67d3b31eff8984043a7da801060c745");
+      ("reverse_https", "9bffd5349184f79c819df403691ee2ad");
+      ("reverse_https_proxy", "42b9b3acbc44d7edf3fa424541d8b9f0");
+      ("reverse_winhttps", "adf53124328fa6beb31c5c6335859b47");
+      ("netbench", "79711395914627cee0dfd9e3294e5fe5");
+    ]
+  in
+  let built name =
+    if name = "netbench" then W.Netbench.build ~seed ()
+    else W.Attack.build (W.Attack.variant_of_name name) ~seed ()
+  in
+  Alcotest.(check (list string))
+    "variants covered"
+    (List.map W.Attack.variant_name W.Attack.all_variants @ [ "netbench" ])
+    (List.map fst pinned);
+  List.iter
+    (fun (name, digest) ->
+      Alcotest.(check string) name digest (table2_replay_digest (built name)))
+    pinned
+
 let test_latency_variant_smoke () =
   let row = E.Latency.run_variant Mitos_workload.Attack.Reverse_tcp_rc4 in
   Alcotest.(check bool) "run completed" true (row.E.Latency.total_steps > 1000);
@@ -531,6 +604,7 @@ let () =
         [
           Alcotest.test_case "rc4 variant shape" `Slow test_table2_single_variant_shape;
           Alcotest.test_case "headline goldens" `Slow test_table2_goldens;
+          Alcotest.test_case "replay state pinned" `Slow test_table2_replay_pinned;
         ] );
       ( "report",
         [ Alcotest.test_case "rendering" `Quick test_report_rendering ] );

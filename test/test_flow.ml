@@ -344,6 +344,30 @@ let test_extract_ijump_and_empty () =
   | [ Extract.Copy { srcs = []; dsts = [ Loc.Reg 1 ] } ] -> ()
   | _ -> Alcotest.fail "li should clear"
 
+(* Register-only records make up most of a trace, and their events are
+   shared values: extracting them allocates nothing. *)
+let test_extract_register_only_allocates_nothing () =
+  let p =
+    Program.make
+      [|
+        Instr.Li (1, 2); Instr.Mov (2, 1); Instr.Bini (Instr.Add, 3, 2, 1);
+        Instr.Jr 3; Instr.Halt;
+      |]
+  in
+  let ex = Extract.create p in
+  let records = Array.init 4 (fun i -> record_for p i []) in
+  let words n =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      for i = 0 to Array.length records - 1 do
+        ignore (Extract.events_of_record ex records.(i))
+      done
+    done;
+    Gc.minor_words () -. w0
+  in
+  let idle = words 0 in
+  Alcotest.(check (float 0.0)) "words for 1000 rounds" 0.0 (words 1000 -. idle)
+
 let test_extract_syscall_events () =
   let handler _m ~sysno:_ =
     [
@@ -401,6 +425,8 @@ let () =
           Alcotest.test_case "load/store" `Quick test_extract_load_store;
           Alcotest.test_case "branch scope" `Quick test_extract_branch_scope;
           Alcotest.test_case "ijump/li" `Quick test_extract_ijump_and_empty;
+          Alcotest.test_case "register-only records allocate nothing" `Quick
+            test_extract_register_only_allocates_nothing;
           Alcotest.test_case "syscall events" `Quick test_extract_syscall_events;
           Alcotest.test_case "written locs" `Quick test_written_locs;
         ] );

@@ -486,6 +486,44 @@ let test_served_decide_edge_cases () =
     (served_matches_reference service
        [ req [ (t 1, 5); (t 1, 2); (t 3, 4096) ] ])
 
+(* A decide request's cost must be near-linear in its candidates: one
+   socket loop serves every client, so a large request stalls them all
+   while it is decided. 60000 candidates is a ~283 KB body, well inside
+   the frame bound. *)
+let test_served_decide_large_request () =
+  let service = Server.create ~params () in
+  let k = 60_000 in
+  let candidates =
+    List.init k (fun i -> (Tag.make Tag_type.Network i, 1 + (i mod 50)))
+  in
+  let body =
+    Wire.encode_request_body ~id:9
+      (Wire.Decide [ { Wire.space = 8; pollution = 10.0; candidates } ])
+  in
+  let t0 = Unix.gettimeofday () in
+  let reply = Server.handle_body service body in
+  let dt = Unix.gettimeofday () -. t0 in
+  (match Wire.decode_response reply with
+  | Ok (9, Wire.Decisions [ got ]) ->
+    Alcotest.(check int) "one outcome per candidate" k (List.length got)
+  | _ -> Alcotest.fail "no decisions reply");
+  Alcotest.(check bool)
+    (Printf.sprintf "answered in under 1 s (took %.3f s)" dt)
+    true (dt < 1.0)
+
+(* Above the scan limit counts come from a per-request table; a repeated
+   tag must still take its first occurrence's count. *)
+let test_served_decide_many_repeated_tags () =
+  let service = Server.create ~params () in
+  let candidates =
+    List.init 2_000 (fun i ->
+        let ty = if i mod 3 = 0 then Tag_type.File else Tag_type.Network in
+        (Tag.make ty (i mod 700), i * 37 mod 5_000))
+  in
+  Alcotest.(check bool) "served = Decision.alg2 with List.find_opt counts" true
+    (served_matches_reference service
+       [ { Wire.space = 40; pollution = 5.0e4; candidates } ])
+
 let test_malformed_body_gets_err_response () =
   with_server @@ fun service ep ->
   ignore service;
@@ -1592,6 +1630,10 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_served_decide_equals_alg2;
           Alcotest.test_case "served decide edge cases" `Quick
             test_served_decide_edge_cases;
+          Alcotest.test_case "served decide, 60000 candidates" `Quick
+            test_served_decide_large_request;
+          Alcotest.test_case "served decide, 2000 repeated-tag candidates"
+            `Quick test_served_decide_many_repeated_tags;
           Alcotest.test_case "malformed body -> Err" `Quick
             test_malformed_body_gets_err_response;
           Alcotest.test_case "tcp service" `Quick test_tcp_service;

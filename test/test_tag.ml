@@ -203,6 +203,37 @@ let test_stats_copy_independent () =
 let mk_shadow ?(m_prov = 4) () =
   Shadow.create ~mem_capacity:1024 ~num_regs:8 ~m_prov ()
 
+(* The eviction hook names the location that overflowed, for memory
+   and registers alike, on every write path, index 0 included. *)
+let test_shadow_evict_locations () =
+  let sh = mk_shadow ~m_prov:1 () in
+  let seen = ref [] in
+  Shadow.on_evict sh
+    (Some
+       (fun (e : Shadow.evict_event) ->
+         let at =
+           match e.at with
+           | `Mem a -> Printf.sprintf "mem:%d" a
+           | `Reg r -> Printf.sprintf "reg:%d" r
+         in
+         seen := (at, Tag.to_string e.victim, Tag.to_string e.incoming) :: !seen));
+  ignore (Shadow.add_tag_addr sh 0 (net 1));
+  ignore (Shadow.add_tag_addr sh 0 (net 2));
+  Shadow.union_into_addr sh 700 [ net 1; net 3 ];
+  Shadow.set_reg_tags sh 0 [ net 1; net 2 ];
+  Shadow.union_into_reg sh 7 [ net 3; net 1 ];
+  ignore (Shadow.add_tag_reg sh 7 (net 2));
+  Alcotest.(check (list (triple string string string)))
+    "evictions, in order"
+    [
+      ("mem:0", "network#1", "network#2");
+      ("mem:700", "network#1", "network#3");
+      ("reg:0", "network#1", "network#2");
+      ("reg:7", "network#3", "network#1");
+      ("reg:7", "network#1", "network#2");
+    ]
+    (List.rev !seen)
+
 let test_shadow_taint_and_query () =
   let sh = mk_shadow () in
   ignore (Shadow.add_tag_addr sh 10 (net 1));
@@ -619,6 +650,8 @@ let () =
       ( "shadow",
         [
           Alcotest.test_case "taint/query" `Quick test_shadow_taint_and_query;
+          Alcotest.test_case "eviction locations" `Quick
+            test_shadow_evict_locations;
           Alcotest.test_case "replace semantics" `Quick test_shadow_set_replace_semantics;
           Alcotest.test_case "union semantics" `Quick test_shadow_union_semantics;
           Alcotest.test_case "space left" `Quick test_shadow_space_left;
